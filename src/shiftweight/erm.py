@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictors import (feature_plan, fit_multinomial_logistic, gaussian_gram,
+                         gaussian_pivoted_cholesky, pivot_coefficients,
                          rbf_features, _safe_spd_solve)
 
 logger = logging.getLogger("shiftweight")
@@ -90,16 +91,18 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
         risk = float(np.mean(w * (fn(x) != y)))
     elif family == "kernel_ridge":
         y = np.asarray(y, dtype=float)
-        sw = np.sqrt(w)
         ybar = float((w * y).sum() / w.sum())
-        K = gaussian_gram(x, x, bandwidth)
-        # symmetric weighted system: (S K S + ridge I) gam = S (y - ybar), coef = S gam
-        M = (sw[:, None] * K) * sw[None, :] + ridge * np.eye(len(x))
-        gam = _safe_spd_solve(M, sw * (y - ybar))
-        coef = sw * gam
+        # weighted Nystrom KRR on the Gram factor K ~ phi phi^T:
+        # (ridge I + phi^T W phi) a = phi^T W (y - ybar), f = phi a + ybar
+        phi, pivots, _ = gaussian_pivoted_cholesky(x, bandwidth)
+        phi_w = phi * w[:, None]
+        a = _safe_spd_solve(phi_w.T @ phi + ridge * np.eye(phi.shape[1]),
+                            phi_w.T @ (y - ybar))
+        centers = x.reshape(-1)[pivots]
+        coef = pivot_coefficients(phi, pivots, a)
 
         def fn(xq):
-            return gaussian_gram(xq, x, bandwidth) @ coef + ybar
+            return gaussian_gram(xq, centers, bandwidth) @ coef + ybar
 
         model = FittedModel("kernel_ridge", fn)
         risk = float(np.mean(w * np.clip((fn(x) - y) ** 2, 0.0, 1.0)))

@@ -13,6 +13,14 @@ class SingularOperator(ShiftWeightError):
         self.spectrum = spectrum
 
 
+class NonFiniteInput(ShiftWeightError, ValueError):
+    """An input array holds NaN or inf; carries the name of the offending input."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
 class IllConditioned(ShiftWeightError):
     """Linear system could not be solved even after jitter escalation."""
 

@@ -302,7 +302,8 @@ def _run_functional_cell(cfg, n, m, seed):
 
 def run_experiment(cfg, quiet=True):
     """Execute every (sweep value, seed) cell; returns run rows plus one
-    median-aggregated summary row per cell.  Writes cfg.out when set."""
+    summary row per cell: medians over seeds, except burn_in_ok, which holds
+    only when every seed passes.  Writes cfg.out when set."""
     rows = []
     for label, n in _cells(cfg):
         m = cfg.m if cfg.m is not None else n
@@ -348,7 +349,7 @@ def _summaries(rows):
             "seed": "median",
             "relative_error": float(np.median([r["relative_error"] for r in group])),
             "epsilon_delta": float(np.median([r["epsilon_delta"] for r in group])),
-            "burn_in_ok": float(np.median([float(r["burn_in_ok"]) for r in group])),
+            "burn_in_ok": all(r["burn_in_ok"] for r in group),
             "target_risk": None if any(t is None for t in tr)
             else float(np.median(tr)),
             "wall_ms": float(np.median([r["wall_ms"] for r in group])),

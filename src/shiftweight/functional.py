@@ -1,8 +1,11 @@
 """RKHS estimators for the continuous-label shift function, solved on the anchor span.
 
-The unknown is represented as theta(y) = sum_j beta_j kernel(y_j, y) over the
-estimation-split source labels (the anchors).  All norms and operator actions
-reduce to Gram-block arithmetic in that span.
+The unknown is theta(y) = sum_j beta_j kernel(y_j, y) over the estimation-
+split source labels (the anchors).  With the Gram factors of KernelMoments,
+theta has factor coordinates a = phi^T beta, ||theta||_H = ||a||, and the
+moment residual is ||B a - b|| with B = psi_s^T phi / N and
+b = mean(psi_t) - mean(psi_s), so every solve is r x r.  Estimates keep their
+coefficients on the pivot anchors, beta_P = phi[pivots]^-T a.
 """
 
 import math
@@ -12,99 +15,115 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import IllConditioned, SingularOperator
-from .predictors import gaussian_gram
+from .predictors import gaussian_gram, pivot_coefficients
 
 EIG_TOL = 1e-10             # relative spectral cutoff for the direct inverse
 
 
 @dataclass
 class FunctionalWeightEstimate:
-    beta: np.ndarray        # representer coefficients over the anchors
-    anchors: np.ndarray
+    beta: np.ndarray        # representer coefficients over the pivot anchors
+    anchors: np.ndarray     # the pivot anchors
     method: str             # "E3" or "E4"
     lambda_used: float
-    rkhs_norm: float        # sqrt(beta^T K_yy beta)
+    rkhs_norm: float        # sqrt(beta^T kernel(anchors, anchors) beta)
     bandwidth: float
     diagnostics: dict
 
 
-def _normal_system(km):
-    # A beta are the source-image coefficients of T_hat theta; the right-hand
-    # side collects the cross terms of the squared residual
+def _reduced_system(km):
+    # G_uu, the G_ut row sums and G_tt.sum() all act through psi: the squared
+    # residual of theta with factor coordinates a is ||B a - b||^2
     N = km.n_est
-    A = km.K_yy / N
-    S = A @ km.G_uu @ A
-    rhs = A @ (km.G_ut.sum(axis=1) / km.m - km.G_uu.sum(axis=1) / N)
-    return A, S, rhs
+    psi_s, psi_t = km.psi[:N], km.psi[N:]
+    B = psi_s.T @ km.phi / N
+    b = psi_t.mean(axis=0) - psi_s.mean(axis=0)
+    return B, b
+
+
+def _rkhs_norm_sq(anchors, beta, bandwidth):
+    return float(beta @ gaussian_gram(anchors, anchors, bandwidth) @ beta)
 
 
 def residual_norm_sq(km, beta):
-    """||T_hat theta - q_hat + p_hat||^2 in the RKHS, via Gram blocks."""
-    N, m = km.n_est, km.m
-    A = km.K_yy / N
-    c = A @ beta + np.full(N, 1.0 / N)
-    tt = float(km.G_tt.sum()) / (m * m)
-    return float(c @ km.G_uu @ c) - 2.0 / m * float(c @ km.G_ut.sum(axis=1)) + tt
+    """||T_hat theta - q_hat + p_hat||^2 in the RKHS for theta with
+    coefficients beta over the pivot anchors (the estimates' representation)."""
+    B, b = _reduced_system(km)
+    a = km.phi[km.pivots].T @ np.asarray(beta, dtype=float)   # factor coordinates
+    r = B @ a - b
+    return float(r @ r)
 
 
 def e4_objective(km, lam, beta):
-    """The squared relaxed objective J(beta) = residual^2 + lam * ||theta||_H^2."""
-    return residual_norm_sq(km, beta) + lam * float(beta @ km.K_yy @ beta)
+    """The squared relaxed objective J(beta) = residual^2 + lam * ||theta||_H^2,
+    beta over the pivot anchors."""
+    return residual_norm_sq(km, beta) \
+        + lam * _rkhs_norm_sq(km.anchors[km.pivots], beta, km.bandwidth)
+
+
+def _estimate(km, a, method, lam, diag):
+    beta = pivot_coefficients(km.phi, km.pivots, a)
+    anchors = km.anchors[km.pivots]
+    rn = math.sqrt(max(_rkhs_norm_sq(anchors, beta, km.bandwidth), 0.0))
+    diag.update(residual_sq=residual_norm_sq(km, beta),
+                factor_rank_y=km.phi.shape[1], factor_rank_u=km.psi.shape[1],
+                factor_residual=km.factor_residual)
+    return FunctionalWeightEstimate(beta, anchors, method, float(lam), rn,
+                                    km.bandwidth, diag)
 
 
 def e4_regularized(km, lam):
     """Ridge-regularized estimate on the anchor span; lam equal to the operator
     confidence radius gives the default high-probability estimator, other lam
-    values are the general-regularization variant."""
+    values are the general-regularization variant.  Solves
+    (B^T B + lam I) a = B^T b in factor coordinates."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    _, S, rhs = _normal_system(km)
-    M = S + lam * km.K_yy
+    B, b = _reduced_system(km)
+    M = B.T @ B + lam * np.eye(B.shape[1])
     trace = float(np.trace(M))
-    beta = None
+    a = None
     jitter_used = None
     for jitter in (1e-12, 1e-8 * max(trace, 1.0)):
         try:
-            c, low = cho_factor(M + jitter * np.eye(len(M)), lower=True)
-            beta = cho_solve((c, low), rhs)
+            c, low = cho_factor(M + jitter * np.eye(len(M)), lower=True,
+                                check_finite=False)
+            a = cho_solve((c, low), B.T @ b, check_finite=False)
             jitter_used = jitter
             break
         except LinAlgError:
             continue
-    if beta is None or not np.all(np.isfinite(beta)):
+    if a is None or not np.all(np.isfinite(a)):
         raise IllConditioned("normal equations unsolvable after jitter escalation")
-    rn = math.sqrt(max(float(beta @ km.K_yy @ beta), 0.0))
-    diag = {
-        "jitter": jitter_used,
-        "residual_sq": residual_norm_sq(km, beta),
-        "objective": e4_objective(km, lam, beta),
-    }
-    return FunctionalWeightEstimate(beta, km.anchors, "E4", float(lam), rn,
-                                    km.bandwidth, diag)
+    est = _estimate(km, a, "E4", lam, {"jitter": jitter_used})
+    est.diagnostics["objective"] = e4_objective(km, lam, est.beta)
+    return est
 
 
 def e3_direct(km):
     """Direct estimate: spectral-truncated pseudo-inverse of the span-restricted
-    operator (eigenvalues below EIG_TOL times the largest are discarded)."""
-    _, S, rhs = _normal_system(km)
-    w, V = eigh(S)
+    operator (eigenvalues below EIG_TOL times the largest are discarded).
+
+    With phi = QR, the operator S = phi B^T B phi^T has the nonzero spectrum
+    of the r x r core R B^T B R^T, which is decomposed instead."""
+    B, b = _reduced_system(km)
+    R = np.linalg.qr(km.phi, mode="r")
+    BR = B @ R.T
+    w, V = eigh(BR.T @ BR)
     wmax = float(w[-1]) if len(w) else 0.0
     keep = w > EIG_TOL * max(wmax, 0.0)
     if wmax <= 0 or not np.any(keep):
         raise SingularOperator("operator spectrum entirely below threshold",
                                spectrum=w)
     Vk = V[:, keep]
-    beta = Vk @ ((Vk.T @ rhs) / w[keep])
-    rn = math.sqrt(max(float(beta @ km.K_yy @ beta), 0.0))
+    a = R.T @ (Vk @ ((Vk.T @ (BR.T @ b)) / w[keep]))
     diag = {
         "condition_number": wmax / float(w[keep].min()),
         "spectrum_max": wmax,
         "spectrum_min_kept": float(w[keep].min()),
         "rank_kept": int(keep.sum()),
-        "residual_sq": residual_norm_sq(km, beta),
     }
-    return FunctionalWeightEstimate(beta, km.anchors, "E3", 0.0, rn,
-                                    km.bandwidth, diag)
+    return _estimate(km, a, "E3", 0.0, diag)
 
 
 def theta_function(est):
@@ -131,13 +150,16 @@ def operator_inverse_norm_proxy(km, max_anchors=512):
     smallest singular value of the span-restricted operator; the proxy is its
     inverse square root.  Large systems are strided down to max_anchors first,
     which keeps this diagnostic (it has no unbiased estimator anyway) cheap.
+    The sub-blocks are built exactly from the stored points, not from the
+    factors: the proxy moves by far more than perturbations of u or of the
+    Gram blocks at the factor tolerance.
     """
     N = km.n_est
     idx = np.arange(N)
     if N > max_anchors:
         idx = np.unique(np.round(np.linspace(0, N - 1, max_anchors)).astype(int))
-    K = km.K_yy[np.ix_(idx, idx)]
-    G = km.G_uu[np.ix_(idx, idx)]
+    K = gaussian_gram(km.anchors[idx], km.anchors[idx], km.bandwidth)
+    G = gaussian_gram(km.u_src[idx], km.u_src[idx], km.bandwidth)
     Ns = len(idx)
     A = K / Ns
     S = A @ G @ A

@@ -6,7 +6,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .datagen import class_centers, label_masses
-from .predictors import gaussian_gram
+from .errors import NonFiniteInput
+from .predictors import gaussian_pivoted_cholesky
 
 
 @dataclass
@@ -20,15 +21,29 @@ class MomentEstimates:
 
 @dataclass
 class KernelMoments:
-    anchors: np.ndarray     # the estimation-split source labels y_i
-    K_yy: np.ndarray        # kernel(y_i, y_j)
-    G_uu: np.ndarray        # kernel(u(x_i), u(x_j)) over source
-    G_ut: np.ndarray        # kernel(u(x_i), u(x'_l)) source x target
-    G_tt: np.ndarray        # kernel(u(x'_l), u(x'_j)) over target
+    """Kernel moments on the sample span, held as low-rank Gram factors.
+
+    kernel(y_i, y_j) ~ phi @ phi.T over the anchors, and the kernel over the
+    u-images [u_src, u_tgt] ~ psi @ psi.T; every entry of either remainder is
+    at most factor_residual.  The points are kept for exact sub-blocks.
+    """
+    anchors: np.ndarray     # the estimation-split source labels y_i, (N,)
+    u_src: np.ndarray       # u(x_i) over the estimation split, (N,)
+    u_tgt: np.ndarray       # u(x'_l) over the target sample, (m,)
+    phi: np.ndarray         # anchor Gram factor, (N, r)
+    pivots: np.ndarray      # anchor indices of phi's pivots; phi[pivots] is lower triangular
+    psi: np.ndarray         # u-image Gram factor, source rows then target rows, (N + m, s)
+    factor_residual: float  # largest residual diagonal of the two factors
     kappa_bar: float
     bandwidth: float
     n_est: int
     m: int
+
+
+def _require_finite(**arrays):
+    for name, values in arrays.items():
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteInput(f"{name} contains NaN or inf", field=name)
 
 
 def estimate_categorical_moments(est_split, target_x, g, k):
@@ -39,10 +54,12 @@ def estimate_categorical_moments(est_split, target_x, g, k):
     """
     x, y = est_split
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
         raise ValueError("empty estimation split or target set")
+    _require_finite(source_covariates=x, labels=np.asarray(y, dtype=float),
+                    target_covariates=target_x)
+    y = np.asarray(y, dtype=int)
     if y.min() < 0 or y.max() >= k:
         raise ValueError(f"label index outside [0, {k})")
     gs = np.asarray(g(x), dtype=float)
@@ -56,15 +73,16 @@ def estimate_categorical_moments(est_split, target_x, g, k):
     gt = np.asarray(g(target_x), dtype=float)
     if gt.ndim == 1:
         gt = gt[:, None]
+    _require_finite(source_statistic=gs, target_statistic=gt)
     q_hat = gt.mean(axis=0)
     return MomentEstimates(T_hat, p_hat, q_hat, n, len(target_x))
 
 
 def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
-    """Gram-block representation of the kernel moments on the sample span.
+    """Low-rank factor representation of the kernel moments on the sample span.
 
     The anchors are the estimation-split labels; target points enter only
-    through the cross and target Gram blocks.
+    through the target rows of the u-image factor.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -74,14 +92,21 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
         raise ValueError("empty estimation split or target set")
+    _require_finite(source_covariates=x, labels=y, target_covariates=target_x)
     u_src = np.asarray(u(x), dtype=float).reshape(-1)
     u_tgt = np.asarray(u(target_x), dtype=float).reshape(-1)
+    _require_finite(source_statistic=u_src, target_statistic=u_tgt)
+    phi, pivots, res_y = gaussian_pivoted_cholesky(y, bandwidth)
+    psi, _, res_u = gaussian_pivoted_cholesky(np.concatenate([u_src, u_tgt]),
+                                              bandwidth)
     return KernelMoments(
         anchors=y,
-        K_yy=gaussian_gram(y, y, bandwidth),
-        G_uu=gaussian_gram(u_src, u_src, bandwidth),
-        G_ut=gaussian_gram(u_src, u_tgt, bandwidth),
-        G_tt=gaussian_gram(u_tgt, u_tgt, bandwidth),
+        u_src=u_src,
+        u_tgt=u_tgt,
+        phi=phi,
+        pivots=pivots,
+        psi=psi,
+        factor_residual=max(res_y, res_u),
         kappa_bar=1.0,
         bandwidth=bandwidth,
         n_est=len(x),

@@ -4,8 +4,10 @@ These feed the moment estimators; they are not the final ERM model.  Training is
 deterministic: fixed feature construction, zero initialization, full-batch steps.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
 
 class StatisticFn:
@@ -142,6 +144,46 @@ def gaussian_gram(a, b, bandwidth):
     b = np.asarray(b, dtype=float).reshape(-1)
     d2 = (a[:, None] - b[None, :]) ** 2
     return np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+
+
+FACTOR_TOL = 1e-14          # largest residual diagonal the Gram factor leaves
+
+
+def gaussian_pivoted_cholesky(points, bandwidth):
+    """Greedy pivoted Cholesky factor of the Gaussian Gram matrix over points.
+
+    Returns (phi, pivots, residual): gaussian_gram(points, points) equals
+    phi @ phi.T plus a positive semidefinite remainder whose largest diagonal
+    entry, residual <= FACTOR_TOL, bounds every entry of the remainder.
+    Columns are computed on demand over the distinct points, so no n x n block
+    is built; phi[pivots] is lower triangular and phi @ phi[pivots].T
+    reproduces the pivot columns of the Gram matrix.
+    """
+    x = np.asarray(points, dtype=float).reshape(-1)
+    vals, first, inv = np.unique(x, return_index=True, return_inverse=True)
+    diag = np.ones(len(vals))       # the Gaussian kernel is 1 on the diagonal
+    cols, piv = [], []
+    while len(piv) < len(vals):
+        p = int(np.argmax(diag))
+        if diag[p] <= FACTOR_TOL:
+            break
+        col = gaussian_gram(vals, vals[p], bandwidth)[:, 0]
+        for c in cols:
+            col -= c[p] * c
+        col /= math.sqrt(diag[p])
+        col[piv] = 0.0              # earlier pivots are already interpolated
+        cols.append(col)
+        piv.append(p)
+        diag -= col * col
+        diag[p] = 0.0
+    phi = np.stack(cols, axis=1) if cols else np.zeros((len(vals), 0))
+    return phi[inv.reshape(-1)], first[piv], float(diag.max(initial=0.0))
+
+
+def pivot_coefficients(phi, pivots, a):
+    """Coefficients over the pivot points of the function with factor
+    coordinates a, i.e. sum_j c_j kernel(x_{pivots[j]}, .) = phi(.) @ a."""
+    return solve_triangular(phi[pivots], a, lower=True, trans="T")
 
 
 def train_kernel_regressor(train, bandwidth=0.9, ridge=1e-2):

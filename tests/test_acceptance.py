@@ -24,6 +24,7 @@ from shiftweight import (CategoricalSynthConfig, RegressionSynthConfig,
 from shiftweight.cli import main
 from shiftweight.erm import FittedModel
 from shiftweight.moments import MomentEstimates
+from shiftweight.predictors import gaussian_gram
 
 THETA_TRUE_K4 = np.array([2.0, -2.0 / 3, 2.0, -2.0 / 3])
 
@@ -127,8 +128,26 @@ def test_criterion_06_functional_convergence():
     assert meds[2] <= 0.3, f"final median {meds[2]}"
 
 
+def _dense_e4_terms(km):
+    """Dense reference for J(beta) = beta^T (S + lam K) beta - 2 rhs^T beta
+    + const over all anchors, from Gram blocks of the stored points."""
+    bw, N = km.bandwidth, km.n_est
+    K = gaussian_gram(km.anchors, km.anchors, bw)
+    G_uu = gaussian_gram(km.u_src, km.u_src, bw)
+    G_ut = gaussian_gram(km.u_src, km.u_tgt, bw)
+    G_tt = gaussian_gram(km.u_tgt, km.u_tgt, bw)
+    A = K / N
+    S = A @ G_uu @ A
+    rhs = A @ (G_ut.sum(axis=1) / km.m - G_uu.sum(axis=1) / N)
+    const = float(G_tt.sum()) / km.m ** 2 \
+        - 2.0 / (km.m * N) * float(G_ut.sum()) \
+        + float(G_uu.sum()) / N ** 2
+    return K, S, rhs, const
+
+
 def test_criterion_07_e4_solver_correctness():
-    # gradient against central differences on a 10-anchor instance
+    # gradient against central differences on a 10-anchor instance, along
+    # the pivot-anchor coefficients the estimate carries
     cfg = RegressionSynthConfig(0.2, 0.8, seed=21)
     ds = gen_regression(cfg, 20, 10)
     sp = split_alpha(ds, 0.5, seed=21)
@@ -136,15 +155,14 @@ def test_criterion_07_e4_solver_correctness():
     km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
     lam = 0.05
     beta = e4_regularized(km, lam).beta
-    N = km.n_est
-    A = km.K_yy / N
-    S = A @ km.G_uu @ A
-    rhs = A @ (km.G_ut.sum(axis=1) / km.m - km.G_uu.sum(axis=1) / N)
-    grad = 2.0 * (S @ beta - rhs) + 2.0 * lam * (km.K_yy @ beta)
+    K, S, rhs, _ = _dense_e4_terms(km)
+    full = np.zeros(km.n_est)
+    full[km.pivots] = beta
+    grad = (2.0 * (S @ full - rhs) + 2.0 * lam * (K @ full))[km.pivots]
     h = 1e-6
     fd = np.array([(e4_objective(km, lam, beta + h * e)
                     - e4_objective(km, lam, beta - h * e)) / (2 * h)
-                   for e in np.eye(N)])
+                   for e in np.eye(len(beta))])
     rel = np.linalg.norm(fd - grad) / max(1.0, float(np.linalg.norm(grad)))
     assert rel < 1e-5, f"gradient mismatch {rel}"
 
@@ -156,18 +174,18 @@ def test_criterion_07_e4_solver_correctness():
     est = e4_regularized(km, lam)
     j_star = e4_objective(km, lam, est.beta)
     N = km.n_est
-    A = km.K_yy / N
-    S = A @ km.G_uu @ A
-    rhs = A @ (km.G_ut.sum(axis=1) / km.m - km.G_uu.sum(axis=1) / N)
-    const = float(km.G_tt.sum()) / km.m ** 2 \
-        - 2.0 / (km.m * N) * float(km.G_ut.sum()) \
-        + float(km.G_uu.sum()) / N ** 2
+    K, S, rhs, const = _dense_e4_terms(km)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-5.0, 5.0, size=(10 ** 5, N))
-    js = np.einsum("ij,jk,ik->i", pts, S + lam * km.K_yy, pts) \
+    js = np.einsum("ij,jk,ik->i", pts, S + lam * K, pts) \
         - 2.0 * (pts @ rhs) + const
-    spot = np.array([e4_objective(km, lam, p) for p in pts[:50]])
-    np.testing.assert_allclose(spot, js[:50], rtol=1e-10, atol=1e-12)
+    # e4_objective on pivot-supported points against the dense expansion
+    spot_pts = np.zeros((50, N))
+    spot_pts[:, km.pivots] = pts[:50, :len(km.pivots)]
+    spot_js = np.einsum("ij,jk,ik->i", spot_pts, S + lam * K, spot_pts) \
+        - 2.0 * (spot_pts @ rhs) + const
+    spot = np.array([e4_objective(km, lam, p[km.pivots]) for p in spot_pts])
+    np.testing.assert_allclose(spot, spot_js, rtol=1e-10, atol=1e-12)
     assert j_star <= float(js.min()) + 1e-9, \
         f"random search beat solver by {j_star - js.min()}"
 

@@ -8,7 +8,7 @@ import pytest
 from shiftweight import (ConfigError, RegressionSynthConfig, build_config,
                          relative_error, rows_to_csv, run_experiment,
                          true_weight_function)
-from shiftweight.experiments import CSV_COLUMNS, parse_config_text
+from shiftweight.experiments import CSV_COLUMNS, _summaries, parse_config_text
 
 BASE = {
     "scenario": "single_run",
@@ -239,6 +239,18 @@ def test_csv_bool_false_and_median_row():
     by_col = dict(zip(CSV_COLUMNS, text.split("\n")[2].split(",")))
     assert by_col["burn_in_ok"] == "0"
     assert by_col["seed"] == "median"
+
+
+def test_summary_burn_in_requires_every_seed():
+    """Two seeds that disagree on burn-in give a summary of 0, not the 0.5
+    a median of booleans would."""
+    rows = [_row(seed=0, burn_in_ok=True), _row(seed=1, burn_in_ok=False)]
+    (split,) = _summaries(rows)
+    (agree,) = _summaries([_row(seed=0), _row(seed=1)])
+    assert split["burn_in_ok"] is False and agree["burn_in_ok"] is True
+    by_col = dict(zip(CSV_COLUMNS,
+                      rows_to_csv([split], timestamp="t").split("\n")[2].split(",")))
+    assert by_col["burn_in_ok"] == "0" and by_col["seed"] == "median"
 
 
 def test_csv_roundtrip_row_count():

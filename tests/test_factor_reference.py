@@ -1,0 +1,153 @@
+"""The low-rank factor path against dense Gram-block references.
+
+The library builds no dense n x n or n x m kernel block outside the statistic
+u.  The dense algebra lives here as the reference, assembled from the points
+the kernel moments store: the same anchors, u-images and bandwidth.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor, cho_solve, eigh
+
+from shiftweight import (RegressionSynthConfig, e3_direct, e4_regularized,
+                         estimate_kernel_moments, evaluate_weight,
+                         functional_radii, gen_regression,
+                         operator_inverse_norm_proxy, split_alpha,
+                         theta_function, train_kernel_regressor, weighted_erm)
+from shiftweight.functional import EIG_TOL
+from shiftweight.predictors import (FACTOR_TOL, _safe_spd_solve,
+                                    gaussian_gram, gaussian_pivoted_cholesky)
+
+GRID = np.linspace(0.0, 1.0, 100)
+CASES = [(n, seed) for n in (500, 2000) for seed in range(3)]
+AGREE = 1e-9                # max |factor - dense| on the grid and on predictions
+
+
+@functools.lru_cache(maxsize=None)
+def _case(n, seed):
+    cfg = RegressionSynthConfig(0.2, 0.8, seed=seed)
+    ds = gen_regression(cfg, n, n)
+    sp = split_alpha(ds, 0.5, seed=seed)
+    u = train_kernel_regressor((sp.erm_x, sp.erm_y))
+    km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
+    lam = 0.1 * functional_radii(0.5, n, n, 0.1, km.kappa_bar)[2]
+    return ds, sp, km, lam
+
+
+def _dense_system(km):
+    bw, N = km.bandwidth, km.n_est
+    K = gaussian_gram(km.anchors, km.anchors, bw)
+    G_uu = gaussian_gram(km.u_src, km.u_src, bw)
+    G_ut = gaussian_gram(km.u_src, km.u_tgt, bw)
+    A = K / N
+    S = A @ G_uu @ A
+    rhs = A @ (G_ut.sum(axis=1) / km.m - G_uu.sum(axis=1) / N)
+    return K, G_uu, S, rhs
+
+
+def _dense_e3(km):
+    _, _, S, rhs = _dense_system(km)
+    w, V = eigh(S)
+    keep = w > EIG_TOL * w[-1]
+    Vk = V[:, keep]
+    return Vk @ ((Vk.T @ rhs) / w[keep]), int(keep.sum())
+
+
+def _dense_e4(km, lam):
+    K, _, S, rhs = _dense_system(km)
+    M = S + lam * K + 1e-12 * np.eye(km.n_est)
+    return cho_solve(cho_factor(M, lower=True), rhs)
+
+
+def _dense_theta(km, beta):
+    return gaussian_gram(GRID, km.anchors, km.bandwidth) @ beta
+
+
+def _dense_proxy(km, max_anchors=512):
+    K_yy, G_uu, _, _ = _dense_system(km)
+    N = km.n_est
+    idx = np.arange(N)
+    if N > max_anchors:
+        idx = np.unique(np.round(np.linspace(0, N - 1, max_anchors)).astype(int))
+    K = K_yy[np.ix_(idx, idx)]
+    G = G_uu[np.ix_(idx, idx)]
+    Ns = len(idx)
+    A = K / Ns
+    S = A @ G @ A
+    jitter = 1e-10 * max(float(np.trace(K)) / Ns, 1.0)
+    vals = eigh(S, K + jitter * np.eye(Ns), eigvals_only=True)
+    kept = vals[vals > EIG_TOL * max(float(vals[-1]), 0.0)]
+    return 1.0 / math.sqrt(float(kept.min()))
+
+
+def _dense_weighted_krr(x, y, w, bandwidth, ridge=1e-2):
+    sw = np.sqrt(w)
+    ybar = float((w * y).sum() / w.sum())
+    K = gaussian_gram(x, x, bandwidth)
+    M = (sw[:, None] * K) * sw[None, :] + ridge * np.eye(len(x))
+    coef = sw * _safe_spd_solve(M, sw * (y - ybar))
+    return lambda xq: gaussian_gram(xq, x, bandwidth) @ coef + ybar
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_e3_matches_dense_reference(n, seed):
+    _, _, km, _ = _case(n, seed)
+    est = e3_direct(km)
+    beta, rank_kept = _dense_e3(km)
+    assert est.diagnostics["rank_kept"] == rank_kept
+    gap = np.abs(theta_function(est)(GRID) - _dense_theta(km, beta)).max()
+    assert gap <= AGREE, f"E3 theta differs by {gap:.3g}"
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_e4_matches_dense_reference(n, seed):
+    _, _, km, lam = _case(n, seed)
+    est = e4_regularized(km, lam)
+    beta = _dense_e4(km, lam)
+    gap = np.abs(theta_function(est)(GRID) - _dense_theta(km, beta)).max()
+    assert gap <= AGREE, f"E4 theta differs by {gap:.3g}"
+    K = gaussian_gram(km.anchors, km.anchors, km.bandwidth)
+    assert est.rkhs_norm == pytest.approx(math.sqrt(beta @ K @ beta), rel=1e-6)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_proxy_bit_equal_to_dense_reference(n, seed):
+    _, _, km, _ = _case(n, seed)
+    assert operator_inverse_norm_proxy(km) == _dense_proxy(km)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_weighted_krr_matches_dense_reference(n, seed):
+    ds, sp, km, lam = _case(n, seed)
+    est = e4_regularized(km, lam)
+    fit = weighted_erm((sp.erm_x, sp.erm_y),
+                       lambda ys: evaluate_weight(est, 1.0, ys),
+                       "kernel_ridge", bandwidth=km.bandwidth)
+    w = np.maximum(evaluate_weight(est, 1.0, sp.erm_y), 0.0)
+    dense = _dense_weighted_krr(sp.erm_x, sp.erm_y, w, km.bandwidth)
+    gap = np.abs(fit.model.predict(ds.target_x) - dense(ds.target_x)).max()
+    assert gap <= AGREE, f"weighted KRR predictions differ by {gap:.3g}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=arrays(np.float64, st.integers(1, 60),
+                     elements=st.floats(-3.0, 3.0)),
+       bandwidth=st.floats(0.01, 10.0))
+def test_factor_residual_bounds_every_entry(points, bandwidth):
+    """max |K - phi phi^T| <= residual <= FACTOR_TOL, up to the rounding of
+    forming phi phi^T and of the tracked residual diagonal (a few ulps per
+    factor column)."""
+    phi, pivots, residual = gaussian_pivoted_cholesky(points, bandwidth)
+    r = phi.shape[1]
+    rounding = 2 * (r + 1) * np.finfo(float).eps
+    K = gaussian_gram(points, points, bandwidth)
+    assert np.abs(K - phi @ phi.T).max() <= residual + rounding
+    assert 0.0 <= residual <= FACTOR_TOL
+    assert len(set(points[pivots].tolist())) == r      # distinct pivot points
+    np.testing.assert_array_equal(np.triu(phi[pivots], 1), 0.0)

@@ -13,8 +13,7 @@ from shiftweight import (IllConditioned, RegressionSynthConfig,
                          operator_inverse_norm_proxy, relative_error,
                          residual_norm_sq, split_alpha,
                          train_kernel_regressor, true_weight_function)
-from shiftweight.moments import KernelMoments
-from shiftweight.predictors import gaussian_gram
+from shiftweight.predictors import FACTOR_TOL, gaussian_gram
 
 # required n at proxy = 2, kappa_bar = 1, alpha = 0.5, delta = 0.1:
 # 256 * ln(60), evaluated independently
@@ -22,21 +21,37 @@ BURN_IN_REQUIRED_FUN = 1048.1522079288577
 
 
 def _km_from_points(ys, us, ut, bandwidth=0.5):
-    """KernelMoments assembled directly from anchor labels and image points."""
-    ys = np.asarray(ys, dtype=float)
-    us = np.asarray(us, dtype=float)
-    ut = np.asarray(ut, dtype=float)
-    return KernelMoments(
-        anchors=ys,
-        K_yy=gaussian_gram(ys, ys, bandwidth),
-        G_uu=gaussian_gram(us, us, bandwidth),
-        G_ut=gaussian_gram(us, ut, bandwidth),
-        G_tt=gaussian_gram(ut, ut, bandwidth),
-        kappa_bar=1.0,
-        bandwidth=bandwidth,
-        n_est=len(ys),
-        m=len(ut),
-    )
+    """KernelMoments from anchor labels and image points: the covariates are
+    the image points themselves and u is the identity."""
+    return estimate_kernel_moments(
+        (np.asarray(us, dtype=float), np.asarray(ys, dtype=float)),
+        np.asarray(ut, dtype=float), lambda v: v, bandwidth=bandwidth)
+
+
+def _dense(km):
+    """Dense reference: the Gram blocks (K_yy, G_uu, G_ut, G_tt) built from
+    the points the moments store."""
+    bw = km.bandwidth
+    return (gaussian_gram(km.anchors, km.anchors, bw),
+            gaussian_gram(km.u_src, km.u_src, bw),
+            gaussian_gram(km.u_src, km.u_tgt, bw),
+            gaussian_gram(km.u_tgt, km.u_tgt, bw))
+
+
+def _dense_normal_system(km):
+    K, G_uu, G_ut, _ = _dense(km)
+    N = km.n_est
+    A = K / N
+    S = A @ G_uu @ A
+    rhs = A @ (G_ut.sum(axis=1) / km.m - G_uu.sum(axis=1) / N)
+    return K, S, rhs
+
+
+def _on_all_anchors(km, beta):
+    """Pivot-anchor coefficients as a coefficient vector over every anchor."""
+    full = np.zeros(km.n_est)
+    full[km.pivots] = beta
+    return full
 
 
 def _instance(seed, n=20, m=12, a=0.2, b=0.8):
@@ -64,35 +79,33 @@ def test_e4_zero_rhs_gives_zero_function():
 
 
 def test_e4_solves_the_normal_equations():
-    """The returned coefficients satisfy (S + lam K + jitter I) beta = rhs,
-    re-assembled here from the Gram blocks."""
+    """The returned coefficients satisfy (S + (lam + jitter) K) beta = rhs,
+    re-assembled here from dense Gram blocks; the jitter is added in factor
+    coordinates, where the identity is K."""
     km = _instance(1)
     lam = 0.05
     est = e4_regularized(km, lam)
-    N = km.n_est
-    A = km.K_yy / N
-    S = A @ km.G_uu @ A
-    rhs = A @ (km.G_ut.sum(axis=1) / km.m - km.G_uu.sum(axis=1) / N)
-    lhs = (S + lam * km.K_yy
-           + est.diagnostics["jitter"] * np.eye(N)) @ est.beta
+    K, S, rhs = _dense_normal_system(km)
+    lhs = (S + (lam + est.diagnostics["jitter"]) * K) \
+        @ _on_all_anchors(km, est.beta)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_e4_gradient_matches_finite_differences():
-    """Central differences of J at the solver output, step 1e-6."""
+    """Central differences of J at the solver output, step 1e-6, along each
+    pivot-anchor coefficient, against the dense gradient."""
     km = _instance(2, n=20, m=10)
     lam = 0.02
     est = e4_regularized(km, lam)
     beta = est.beta
-    N = km.n_est
-    A = km.K_yy / N
-    S = A @ km.G_uu @ A
-    rhs = A @ (km.G_ut.sum(axis=1) / km.m - km.G_uu.sum(axis=1) / N)
-    analytic = 2.0 * (S @ beta - rhs) + 2.0 * lam * (km.K_yy @ beta)
+    K, S, rhs = _dense_normal_system(km)
+    full = _on_all_anchors(km, beta)
+    analytic = (2.0 * (S @ full - rhs) + 2.0 * lam * (K @ full))[km.pivots]
     h = 1e-6
-    fd = np.zeros(N)
-    for i in range(N):
-        e = np.zeros(N)
+    r = len(beta)
+    fd = np.zeros(r)
+    for i in range(r):
+        e = np.zeros(r)
         e[i] = h
         fd[i] = (e4_objective(km, lam, beta + e)
                  - e4_objective(km, lam, beta - e)) / (2 * h)
@@ -110,14 +123,13 @@ def test_e4_beats_random_search():
     rng = np.random.default_rng(33)
     pts = rng.uniform(-5, 5, size=(10 ** 5, km.n_est))
     N = km.n_est
-    A = km.K_yy / N
-    S = A @ km.G_uu @ A
-    rhs = A @ (km.G_ut.sum(axis=1) / km.m - km.G_uu.sum(axis=1) / N)
-    const = float(km.G_tt.sum()) / km.m ** 2 \
-        - 2.0 / (km.m * N) * float(km.G_ut.sum()) \
-        + float(km.G_uu.sum()) / N ** 2
+    K, S, rhs = _dense_normal_system(km)
+    _, G_uu, G_ut, G_tt = _dense(km)
+    const = float(G_tt.sum()) / km.m ** 2 \
+        - 2.0 / (km.m * N) * float(G_ut.sum()) \
+        + float(G_uu.sum()) / N ** 2
     # vectorized J over all candidates (quadratic expansion around beta = 0)
-    quad = np.einsum("ij,jk,ik->i", pts, S + lam * km.K_yy, pts)
+    quad = np.einsum("ij,jk,ik->i", pts, S + lam * K, pts)
     lin = pts @ rhs
     js = quad - 2.0 * lin + const
     assert j_star <= js.min() + 1e-9
@@ -137,7 +149,8 @@ def test_residual_identity_against_feature_quadrature():
     sp = split_alpha(ds, 0.5, seed=4)
     u = train_kernel_regressor((sp.erm_x, sp.erm_y))
     pts = np.concatenate([u(sp.est_x), u(ds.target_x)])
-    coefs = np.concatenate([km.K_yy / N @ est.beta + np.full(N, 1.0 / N),
+    theta_at_anchors = gaussian_gram(km.anchors, est.anchors, sigma) @ est.beta
+    coefs = np.concatenate([theta_at_anchors / N + np.full(N, 1.0 / N),
                             np.full(m, -1.0 / m)])
 
     ws = np.linspace(-12.0 / sigma, 12.0 / sigma, 8001)
@@ -155,10 +168,10 @@ def test_e4_rejects_negative_lambda():
 
 
 def test_e4_ill_conditioned_system_raises():
-    """An indefinite (non-Gram) block defeats both jitter levels."""
+    """A factor whose Gram matrix overflows defeats both jitter levels."""
     ys = np.array([0.0, 1.0, 2.0])
     km = _km_from_points(ys, ys, np.array([0.5, 1.5]))
-    km.G_uu = -np.eye(3)
+    km.psi = 1e200 * km.psi
     with pytest.raises(IllConditioned):
         e4_regularized(km, 0.0)
 
@@ -185,15 +198,32 @@ def test_e3_truncates_and_reports_condition_number():
 
 def test_e3_degenerate_spectrum_raises():
     km = _km_from_points([0.0, 0.0], [0.0, 0.0], [0.0])
-    km.G_uu = np.zeros((2, 2))
+    km.psi[:km.n_est] = 0.0         # G_uu = 0: the operator vanishes
     with pytest.raises(SingularOperator):
         e3_direct(km)
+
+
+def test_diagnostics_report_the_factors():
+    """Both estimators report the factor ranks and the residual that bounds
+    every entry of K - phi phi^T, next to their existing keys."""
+    km = _instance(14, n=40, m=20)
+    e3 = e3_direct(km).diagnostics
+    e4 = e4_regularized(km, 0.05).diagnostics
+    assert {"condition_number", "spectrum_max", "spectrum_min_kept",
+            "rank_kept", "residual_sq"} <= set(e3)
+    assert {"jitter", "residual_sq", "objective"} <= set(e4)
+    for diag in (e3, e4):
+        assert diag["factor_rank_y"] == km.phi.shape[1] >= 1
+        assert diag["factor_rank_u"] == km.psi.shape[1] >= 1
+        assert diag["factor_residual"] == km.factor_residual
+        assert 0.0 <= diag["factor_residual"] <= FACTOR_TOL
 
 
 def test_rkhs_norm_consistent_with_quadratic_form():
     km = _instance(7)
     est = e4_regularized(km, 0.03)
-    again = math.sqrt(max(float(est.beta @ km.K_yy @ est.beta), 0.0))
+    K = gaussian_gram(est.anchors, est.anchors, km.bandwidth)
+    again = math.sqrt(max(float(est.beta @ K @ est.beta), 0.0))
     assert est.rkhs_norm == again
 
 

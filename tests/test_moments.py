@@ -1,14 +1,21 @@
-"""Empirical moment estimators: confusion operator and Gram blocks."""
+"""Empirical moment estimators: confusion operator and Gram factors."""
 
 import numpy as np
 import pytest
 
-from shiftweight import (CategoricalSynthConfig, e1_direct,
+from shiftweight import (CategoricalSynthConfig, NonFiniteInput,
+                         ShiftWeightError, e1_direct,
                          estimate_categorical_moments,
                          estimate_kernel_moments, gen_categorical,
                          population_moments_categorical, split_alpha,
                          train_kernel_regressor, train_simplex)
 from shiftweight.datagen import class_centers, label_masses
+from shiftweight.predictors import FACTOR_TOL, gaussian_gram
+
+
+def _rounding(factor):
+    """Rounding slack of phi @ phi.T and of the tracked residual, rank r."""
+    return 2 * (factor.shape[1] + 1) * np.finfo(float).eps
 
 
 def _identity_stat(k):
@@ -142,12 +149,17 @@ def test_empirical_operator_converges_to_population():
     assert np.median(errs[4000]) < np.median(errs[500])
 
 
+def _gram(factor):
+    return factor @ factor.T
+
+
 def test_kernel_gram_all_ones_for_identical_labels():
     x = np.linspace(0, 1, 6)
     y = np.full(6, 0.3)
     u = train_kernel_regressor((x, np.linspace(0, 1, 6)))
     km = estimate_kernel_moments((x, y), x, u, bandwidth=0.9)
-    np.testing.assert_allclose(km.K_yy, 1.0, atol=1e-15)
+    assert km.phi.shape == (6, 1)
+    np.testing.assert_allclose(_gram(km.phi), 1.0, atol=1e-15)
 
 
 def test_kernel_gram_half_at_known_distance():
@@ -156,11 +168,12 @@ def test_kernel_gram_half_at_known_distance():
     x = np.array([0.0, d])
     u = train_kernel_regressor((x, y), ridge=1e-8)
     km = estimate_kernel_moments((x, y), x, u, bandwidth=0.9)
-    assert abs(km.K_yy[0, 1] - 0.5) < 1e-12
+    assert abs(_gram(km.phi)[0, 1] - 0.5) < 1e-12
 
 
 def test_kernel_blocks_match_double_loop():
-    """Gram blocks of a 3 + 2 instance against brute-force pairwise kernels."""
+    """Gram blocks of a 3 + 2 instance, read off the factors, against
+    brute-force pairwise kernels."""
     xs = np.array([0.1, 0.5, 0.9])
     ys = np.array([0.2, 0.4, 0.8])
     xt = np.array([0.3, 0.7])
@@ -171,15 +184,18 @@ def test_kernel_blocks_match_double_loop():
         return np.exp(-(a - b) ** 2 / (2 * 0.9 ** 2))
 
     us, ut = u(xs), u(xt)
+    K_yy = _gram(km.phi)
+    G = _gram(km.psi)
+    G_uu, G_ut, G_tt = G[:3, :3], G[:3, 3:], G[3:, 3:]
     for i in range(3):
         for j in range(3):
-            assert abs(km.K_yy[i, j] - kappa(ys[i], ys[j])) < 1e-14
-            assert abs(km.G_uu[i, j] - kappa(us[i], us[j])) < 1e-14
+            assert abs(K_yy[i, j] - kappa(ys[i], ys[j])) < 1e-14
+            assert abs(G_uu[i, j] - kappa(us[i], us[j])) < 1e-14
         for l in range(2):
-            assert abs(km.G_ut[i, l] - kappa(us[i], ut[l])) < 1e-14
+            assert abs(G_ut[i, l] - kappa(us[i], ut[l])) < 1e-14
     for l in range(2):
         for l2 in range(2):
-            assert abs(km.G_tt[l, l2] - kappa(ut[l], ut[l2])) < 1e-14
+            assert abs(G_tt[l, l2] - kappa(ut[l], ut[l2])) < 1e-14
 
 
 def test_kernel_moments_metadata_and_psd():
@@ -193,11 +209,20 @@ def test_kernel_moments_metadata_and_psd():
     assert km.bandwidth == 0.7
     assert km.n_est == 40 and km.m == 25
     np.testing.assert_array_equal(km.anchors, ys)
-    for G in (km.K_yy, km.G_uu, km.G_tt):
+    np.testing.assert_array_equal(km.u_src, u(xs))
+    np.testing.assert_array_equal(km.u_tgt, u(xt))
+    assert km.psi.shape[0] == 40 + 25
+    assert 0.0 <= km.factor_residual <= FACTOR_TOL
+    for pts, factor in ((km.anchors, km.phi), (km.u_src, km.psi[:40]),
+                        (km.u_tgt, km.psi[40:])):
+        G = _gram(factor)
         np.testing.assert_allclose(G, G.T, atol=1e-15)
         evals = np.linalg.eigvalsh(G)
         assert evals.min() > -1e-10
-        assert G.min() > 0.0 and G.max() <= 1.0
+        # the factor reproduces the exact block, whose entries lie in (0, 1]
+        exact = gaussian_gram(pts, pts, 0.7)
+        assert exact.min() > 0.0 and exact.max() <= 1.0
+        assert np.abs(G - exact).max() <= km.factor_residual + _rounding(factor)
 
 
 def test_kernel_moments_reject_bad_bandwidth():
@@ -205,3 +230,55 @@ def test_kernel_moments_reject_bad_bandwidth():
     u = train_kernel_regressor((x, x))
     with pytest.raises(ValueError):
         estimate_kernel_moments((x, x), x, u, bandwidth=0.0)
+
+
+# ===================== non-finite inputs =====================
+
+def _bad(values, at, bad):
+    out = np.array(values, dtype=float)
+    out[at] = bad
+    return out
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_categorical_moments_reject_non_finite_inputs(bad):
+    x = np.arange(4, dtype=float) % 2
+    y = np.array([0, 1, 0, 1])
+    g = _identity_stat(2)
+
+    def poisoned(xs):
+        out = g(xs).astype(float)
+        out[0, 0] = bad
+        return out
+
+    cases = [((x, _bad(y, 1, bad)), x, g, "labels"),
+             ((x, y), _bad(x, 2, bad), g, "target_covariates"),
+             ((x, y), x, poisoned, "source_statistic")]
+    for split, target_x, stat, field in cases:
+        with pytest.raises(NonFiniteInput) as exc:
+            estimate_categorical_moments(split, target_x, stat, 2)
+        assert exc.value.field == field
+        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, ShiftWeightError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_moments_reject_non_finite_inputs(bad):
+    x = np.linspace(0, 1, 6)
+    y = np.linspace(0, 1, 6)
+    u = train_kernel_regressor((x, y))
+
+    def poisoned(xs):
+        out = u(xs)
+        out[-1] = bad
+        return out
+
+    cases = [((x, _bad(y, 0, bad)), x, u, "labels"),
+             ((x, y), _bad(x, 3, bad), u, "target_covariates"),
+             ((x, y), x, poisoned, "source_statistic")]
+    for split, target_x, stat, field in cases:
+        with pytest.raises(NonFiniteInput) as exc:
+            estimate_kernel_moments(split, target_x, stat)
+        assert exc.value.field == field
+        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, ShiftWeightError)
