@@ -18,7 +18,7 @@ from .datagen import (CategoricalSynthConfig, Dataset, RegressionSynthConfig,
 from .erm import (FittedModel, WeightedERMResult, blend_gamma, choose_gamma,
                   oracle_target_risk, weighted_erm)
 from .errors import (ConfigError, IllConditioned, NonFiniteInput,
-                     ShiftWeightError, SingularOperator, SolverDidNotConverge)
+                     ShiftWeightError, SingularOperator)
 from .experiments import (ExperimentConfig, build_config, load_config,
                           relative_error, rows_to_csv, run_experiment,
                           write_csv)

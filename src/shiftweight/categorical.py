@@ -6,11 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import SingularOperator, SolverDidNotConverge
+from .errors import SingularOperator
+from .moments import _require_finite
 
 RANK_TOL = 1e-12            # relative singular value cutoff
-CONV_TOL = 1e-10            # successive objective change
-MAX_ITER = 100_000
+EPS = np.finfo(float).eps   # unit roundoff
+BRACKET_STEP = 0.1          # factor by which the lower end of the E2 bracket steps down
 
 
 @dataclass
@@ -22,8 +23,14 @@ class CategoricalWeightEstimate:
 
 
 def _svd_checked(T_hat):
-    U, s, Vt = np.linalg.svd(T_hat, full_matrices=False)
-    return U, s, Vt
+    _require_finite(T_hat=T_hat)
+    return np.linalg.svd(T_hat, full_matrices=False)
+
+
+def _shift_vector(mom):
+    """b = q_hat - p_hat, after checking both inputs are finite."""
+    _require_finite(p_hat=mom.p_hat, q_hat=mom.q_hat)
+    return np.asarray(mom.q_hat - mom.p_hat, dtype=float)
 
 
 def e1_direct(mom, alpha=None, n=None, delta=None):
@@ -39,7 +46,7 @@ def e1_direct(mom, alpha=None, n=None, delta=None):
     U, s, Vt = _svd_checked(T)
     if s[0] <= 0 or s[-1] <= RANK_TOL * s[0]:
         raise SingularOperator("rank-deficient forward operator", spectrum=s)
-    r = mom.q_hat - mom.p_hat
+    r = _shift_vector(mom)
     theta = Vt.T @ ((U.T @ r) / s)
     diag = {
         "sigma_min": float(s[-1]),
@@ -71,60 +78,22 @@ def check_burn_in_categorical(mom, d, k, alpha, n, delta):
 
 # ===================== E2: regularized program =====================
 #
-#   min_theta  ||T theta - b|| + delta_T ||theta||        (norms NOT squared)
+#   min_theta  J(theta) = ||T theta - b|| + delta_T ||theta||   (norms NOT squared)
 #
-# Solved by monotone accelerated proximal gradient on a smoothed first term
-# (sqrt(||r||^2 + mu^2), mu driven down in stages) with the block soft-threshold
-# prox of the second term.  Two regimes admit exact closed forms and are
-# returned directly; a stationarity root-finding polish tightens the iterative
-# answer at the end.  The recorded objective trace is non-increasing by
-# construction (candidate steps that would raise the true objective are
-# rejected).
+# J is convex, so a stationary point is the global minimizer.  With the SVD
+# T = U diag(s) V^T and c = U^T b, exactly one of four regimes holds:
+#   zero     ||T^T b|| <= delta_T ||b||: the subgradient at 0 contains 0;
+#   pinv     delta_T = 0: least squares, min-norm solution theta0 = T^+ b;
+#   kink     T theta0 = b and delta_T ||(T^+)^T theta0|| <= ||theta0||: the
+#            residual term's subgradient ball absorbs the penalty gradient;
+#   interior theta(t) = (T^T T + t I)^-1 T^T b at the root of the secular
+#            equation psi(t) = delta_T ||r(t)|| / ||theta(t)|| - t = 0.
+# psi is evaluated in the SVD basis, where neither norm cancels (cf. the
+# trust-region secular equation of More & Sorensen 1983).
 
 
 def _objective(T, b, delta_T, theta):
     return float(np.linalg.norm(T @ theta - b) + delta_T * np.linalg.norm(theta))
-
-
-def _block_soft(v, thresh):
-    nv = np.linalg.norm(v)
-    if nv <= thresh:
-        return np.zeros_like(v)
-    return v * (1.0 - thresh / nv)
-
-
-def _ridge_path_theta(U, s, Vt, b, reg):
-    # (T^T T + reg I)^{-1} T^T b through the SVD
-    return Vt.T @ ((s / (s * s + reg)) * (U.T @ b))
-
-
-def _stationarity_polish(U, s, Vt, b, delta_T):
-    """Interior stationary point: theta(s*) with s* solving the scalar condition.
-
-    For a nonzero optimum with nonzero residual, theta = (T^T T + s I)^{-1} T^T b
-    where s = delta_T ||r(s)|| / ||theta(s)||.  Returns None when no bracket is
-    found (the optimum then sits at one of the closed-form candidates).
-    """
-    smax = s[0]
-
-    def psi(t):
-        th = _ridge_path_theta(U, s, Vt, b, t)
-        nth = np.linalg.norm(th)
-        if nth == 0.0:
-            return -t
-        r = (U * s) @ (Vt @ th) - b
-        return delta_T * np.linalg.norm(r) / nth - t
-
-    lo, hi = 1e-16 * smax * smax, 1e8 * smax * smax
-    grid = np.geomspace(lo, hi, 80)
-    vals = [psi(t) for t in grid]
-    for a, fa, c, fc in zip(grid[:-1], vals[:-1], grid[1:], vals[1:]):
-        if fa == 0.0:
-            return _ridge_path_theta(U, s, Vt, b, a)
-        if fa * fc < 0:
-            root = brentq(psi, a, c, xtol=1e-300, rtol=1e-15, maxiter=200)
-            return _ridge_path_theta(U, s, Vt, b, root)
-    return None
 
 
 def e2_regularized(mom, delta_T, theta_cap=10.0):
@@ -134,94 +103,70 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
     if theta_cap <= 0:
         raise ValueError("theta_cap must be positive")
     T = np.asarray(mom.T_hat, dtype=float)
-    b = np.asarray(mom.q_hat - mom.p_hat, dtype=float)
     U, s, Vt = _svd_checked(T)
+    b = _shift_vector(mom)
+    c = U.T @ b
     smax = float(s[0]) if len(s) else 0.0
     nb = float(np.linalg.norm(b))
+    pull = float(np.linalg.norm(s * c))       # ||T^T b||, as the bracket below uses it
     rank_mask = s > RANK_TOL * max(smax, 1e-300)
     s_kept = np.where(rank_mask, s, np.inf)   # inf kills dropped directions in 1/s
+    theta0 = Vt.T @ (c / s_kept)
 
-    trace = []
-    how = "prox-gradient"
-    theta = None
-
-    # exact regime 1: zero is optimal when the data pull is below the threshold
-    if nb == 0.0 or float(np.linalg.norm(T.T @ b)) <= delta_T * nb:
-        theta = np.zeros(T.shape[1])
-        how = "zero-shortcut"
+    evals = 0
+    kkt = 0.0
+    if nb == 0.0 or pull <= delta_T * nb:
+        theta, how = np.zeros(T.shape[1]), "zero-shortcut"
     elif delta_T == 0.0:
-        # plain least squares; min-norm solution via the pseudo-inverse
-        theta = Vt.T @ ((U.T @ b) / s_kept)
-        how = "pinv-shortcut"
+        theta, how = theta0, "pinv-shortcut"
+    elif (np.linalg.norm(T @ theta0 - b) <= 1e-13 * max(1.0, nb)
+          and delta_T * np.linalg.norm(c / s_kept ** 2) <= np.linalg.norm(theta0)):
+        theta, how = theta0, "kink-shortcut"
     else:
-        theta0 = Vt.T @ ((U.T @ b) / s_kept)
-        r0 = T @ theta0 - b
-        if np.linalg.norm(r0) <= 1e-13 * max(1.0, nb):
-            # zero-residual candidate; optimal when the subgradient kink absorbs delta_T
-            w = Vt.T @ ((Vt @ theta0) / s_kept)   # (T^+)^T theta0, theta0 in row space
-            if delta_T * np.linalg.norm(w) <= np.linalg.norm(theta0):
-                theta = theta0
-                how = "kink-shortcut"
+        # the part of b outside the range of U; zero when U is square
+        out = b - U @ c if U.shape[0] > U.shape[1] else np.zeros_like(b)
+        out_sq = float(out @ out)
 
-    if theta is None:
-        theta = np.zeros(T.shape[1])
-        J_cur = _objective(T, b, delta_T, theta)
-        trace.append(J_cur)
-        iters = 0
-        converged = False
-        # smoothing continuation: accuracy of the surrogate is O(mu)
-        for mu in nb * np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]):
-            step = mu / (smax * smax)
-            yk = theta.copy()
-            t = 1.0
-            while iters < MAX_ITER:
-                iters += 1
-                r = T @ yk - b
-                grad = T.T @ (r / math.sqrt(float(r @ r) + mu * mu))
-                u = _block_soft(yk - step * grad, step * delta_T)
-                J_u = _objective(T, b, delta_T, u)
-                if J_u <= J_cur:
-                    x_next, J_next = u, J_u
-                else:
-                    x_next, J_next = theta, J_cur     # reject: keep the objective monotone
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                yk = x_next + (t / t_next) * (u - x_next) \
-                    + ((t - 1.0) / t_next) * (x_next - theta)
-                change = J_cur - J_next
-                theta, J_cur = x_next, J_next
-                trace.append(J_cur)
-                if change < CONV_TOL:
-                    converged = True
-                    break
-                t = t_next
-            if iters >= MAX_ITER:
-                break
-        # stationarity polish: exact interior optimum when one exists
-        polish = _stationarity_polish(U, s, Vt, b, delta_T)
-        candidates = [theta]
-        if polish is not None:
-            candidates.append(polish)
-        J_vals = [_objective(T, b, delta_T, c) for c in candidates]
-        best = int(np.argmin(J_vals))
-        if J_vals[best] < J_cur:
-            theta, J_cur = candidates[best], J_vals[best]
-            trace.append(J_cur)
-            how = "prox-gradient+polish"
-        if not converged and polish is None:
-            gap = trace[-2] - trace[-1] if len(trace) > 1 else float("nan")
-            raise SolverDidNotConverge(
-                f"objective still changing by {gap:.3e} at the iteration cap",
-                objective_gap=gap)
+        def psi(t):
+            nonlocal evals
+            evals += 1
+            w = 1.0 / (s * s + t)
+            return (delta_T * math.sqrt(float(np.sum((t * w * c) ** 2)) + out_sq)
+                    / float(np.linalg.norm(s * w * c)) - t)
+
+        # psi(hi) <= -rho smax^2 < 0, since ||theta(t)|| >= ||T^T b|| / (smax^2 + t)
+        # and ||r(t)|| <= ||b||; rho < 1 because the zero test failed.
+        rho = delta_T * nb / pull
+        hi = 2.0 * rho * smax * smax / (1.0 - rho)
+        # Below EPS s_kept_min^2, theta(t) equals theta0 to working precision.
+        floor = EPS * float(s[rank_mask][-1]) ** 2
+        lo = hi * BRACKET_STEP
+        while lo >= floor and psi(lo) < 0.0:
+            hi, lo = lo, lo * BRACKET_STEP
+        if lo < floor:
+            theta, how = theta0, "kink-shortcut"
+        else:
+            t = brentq(psi, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * EPS)
+            w = 1.0 / (s * s + t)
+            theta, how = Vt.T @ (s * w * c), "secular-root"
+            # r(t) in the SVD basis: T theta - b cancels as the root nears the kink
+            r = -(U @ (t * w * c)) - out
+            kkt = float(np.linalg.norm(T.T @ r / np.linalg.norm(r)
+                                       + delta_T * theta / np.linalg.norm(theta)))
 
     J_final = _objective(T, b, delta_T, theta)
+    # accepted candidates in order; a solve that searched started from theta = 0,
+    # whose objective is ||b||
+    trace = [J_final] if evals == 0 else [nb, J_final]
     norm_theta = float(np.linalg.norm(theta))
     diag = {
         "sigma_min": float(s[-1]),
         "sigma_max": smax,
         "objective": J_final,
         "objective_trace": trace,
-        "iterations": len(trace),
+        "iterations": evals,
         "solution_path": how,
+        "kkt_residual": kkt,
         "theta_norm": norm_theta,
         "theta_cap": float(theta_cap),
         "cap_exceeded": norm_theta > theta_cap,

@@ -48,7 +48,7 @@ def functional_radii(alpha, n, m, delta, kappa_bar=1.0):
     return delta_p, delta_q, delta_T
 
 
-def composite_epsilon(radii, proxy_inv_norm, theta_max, path="categorical"):
+def composite_epsilon(radii, proxy_inv_norm, theta_max):
     """Composite high-probability bound on ||theta_hat - theta||.
 
     radii must be the three confidence radii evaluated at delta/3 (the union
@@ -57,8 +57,6 @@ def composite_epsilon(radii, proxy_inv_norm, theta_max, path="categorical"):
     published bound shapes: the functional radii carry an internal factor 2, so
     this equals the prefactor-4 form of the normed-label-space bound.
     """
-    if path not in ("categorical", "functional"):
-        raise ValueError(f"unknown path {path!r}")
     delta_p, delta_q, delta_T = radii
     if min(delta_p, delta_q, delta_T) < 0:
         raise ValueError("radii must be nonnegative")
@@ -87,7 +85,7 @@ def confidence_report(path, alpha, n, m, delta, proxy_inv_norm, theta_max,
         radii = functional_radii(alpha, n, m, delta / 3.0, kappa_bar)
     else:
         raise ValueError(f"unknown path {path!r}")
-    eps = composite_epsilon(radii, proxy_inv_norm, theta_max, path)
+    eps = composite_epsilon(radii, proxy_inv_norm, theta_max)
     echo = {"path": path, "d": d, "k": k, "alpha": alpha, "n": n, "m": m,
             "kappa_bar": kappa_bar, "theta_max": theta_max,
             "proxy_inv_norm": proxy_inv_norm}

@@ -25,14 +25,6 @@ class IllConditioned(ShiftWeightError):
     """Linear system could not be solved even after jitter escalation."""
 
 
-class SolverDidNotConverge(ShiftWeightError):
-    """Iterative solver hit its iteration cap while still moving."""
-
-    def __init__(self, message, objective_gap=None):
-        super().__init__(message)
-        self.objective_gap = objective_gap
-
-
 class ConfigError(ShiftWeightError):
     """Bad experiment config; carries the offending line number and field."""
 

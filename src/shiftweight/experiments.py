@@ -248,7 +248,7 @@ def _run_categorical_cell(cfg, k, n, m, seed):
     mom = estimate_categorical_moments((sp.est_x, sp.est_y), ds.target_x, g, k)
     d = g.output_dim
     if cfg.estimator == "E1":
-        est = e1_direct(mom, cfg.alpha, n, cfg.delta)
+        est = e1_direct(mom)
     else:
         delta_T = cfg.reg if cfg.reg != "auto" \
             else cfg.reg_scale * categorical_radii(d, k, cfg.alpha, n, m,

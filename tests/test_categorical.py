@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftweight import (SingularOperator, check_burn_in_categorical,
-                         e1_direct, e2_regularized)
+from shiftweight import (NonFiniteInput, SingularOperator,
+                         check_burn_in_categorical, e1_direct, e2_regularized)
 from shiftweight.categorical import _objective
 from shiftweight.moments import MomentEstimates
 
@@ -194,6 +194,131 @@ def test_e2_cap_diagnostic():
 def test_e2_rejects_negative_weight():
     with pytest.raises(ValueError):
         e2_regularized(_mom(HAND_T, HAND_DIFF), delta_T=-0.1)
+
+
+def _kkt(T, b, delta_T, theta):
+    """First-order residual ||T^T r / ||r|| + delta_T theta / ||theta|| ||."""
+    r = T @ theta - b
+    return np.linalg.norm(T.T @ r / np.linalg.norm(r)
+                          + delta_T * theta / np.linalg.norm(theta))
+
+
+def test_e2_interior_root_is_stationary_where_a_grid_scan_stopped_early():
+    """On this instance a secular function that forms T theta - b directly
+    changes sign from rounding alone near t ~ 1e-16 sigma_max^2, so a solver
+    taking the first sign change on a log grid lands on a spurious root.  An
+    answer from such a solver had objective 0.117938601747789 and KKT
+    residual 1.8e-4."""
+    rng = np.random.default_rng(120)
+    T = rng.uniform(0.05, 1.0, (3, 3))
+    b = 0.1 * rng.normal(size=3)
+    delta_T = rng.uniform(0.1, 0.9) * np.linalg.norm(T.T @ b) / np.linalg.norm(b)
+    est = e2_regularized(_mom(T, b), delta_T)
+    assert est.diagnostics["solution_path"] == "secular-root"
+    assert _kkt(T, b, delta_T, est.theta_hat) <= 1e-9
+    assert est.diagnostics["kkt_residual"] <= 1e-9
+    assert _objective(T, b, delta_T, est.theta_hat) <= 0.117938601747789 - 2e-7
+
+
+def test_e2_root_below_working_precision_returns_the_kink():
+    """b sits 1e-12 off the range of a tall T, so the residual test of the kink
+    shortcut fails; with delta_T = 1e-6 the root lies below eps sigma_min^2,
+    where theta(t) equals the pseudo-inverse solution to working precision."""
+    rng = np.random.default_rng(5)
+    T = rng.uniform(0.05, 1.0, (3, 2))
+    off_range = np.linalg.svd(T)[0][:, 2]
+    b = T @ np.array([0.3, -0.2]) + 1e-12 * off_range
+    est = e2_regularized(_mom(T, b), 1e-6)
+    theta0 = np.linalg.pinv(T) @ b
+    assert est.diagnostics["solution_path"] == "kink-shortcut"
+    assert est.diagnostics["iterations"] > 0
+    np.testing.assert_allclose(est.theta_hat, theta0, atol=1e-15)
+    for t in np.geomspace(1e-20, 1.0, 41):
+        ridge = np.linalg.solve(T.T @ T + t * np.eye(2), T.T @ b)
+        assert est.diagnostics["objective"] <= _objective(T, b, 1e-6, ridge) + 1e-16
+
+
+def test_e2_diagnostics_name_the_regime():
+    T = np.asarray(HAND_T)
+    b = np.asarray(HAND_DIFF)
+    pull = np.linalg.norm(T.T @ b) / np.linalg.norm(b)
+    for delta_T, path in ((pull * 1.001, "zero-shortcut"), (0.0, "pinv-shortcut"),
+                          (0.01, "kink-shortcut"), (0.99 * pull, "secular-root")):
+        d = e2_regularized(_mom(T, b), delta_T).diagnostics
+        assert d["solution_path"] == path
+        assert isinstance(d["iterations"], int)
+        assert (d["iterations"] > 0) == (path == "secular-root")
+        assert d["objective_trace"][-1] == d["objective"]
+        if path != "secular-root":
+            assert d["kkt_residual"] == 0.0
+
+
+# ===================== properties =====================
+
+@st.composite
+def _instances(draw, wide=True):
+    """(T, b, delta_T) with T uniform in [0.05, 1]; d ranges over k - 2 .. k + 2
+    (d >= k unless wide), and delta_T over [0, 1.2] x the zero threshold."""
+    k = draw(st.integers(2, 6))
+    d = draw(st.integers(max(1, k - 2) if wide else k, k + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = rng.uniform(0.05, 1.0, (d, k))
+    b = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 1)
+    if draw(st.booleans()):
+        b = T @ rng.normal(size=k) * 0.1       # b in the range of T
+    pull = np.linalg.norm(T.T @ b) / np.linalg.norm(b)
+    return T, b, draw(st.floats(0.0, 1.2)) * pull
+
+
+@given(_instances(wide=False), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_e1_e2_permute_with_the_classes(inst, rnd):
+    """Relabelling the classes permutes the columns of T and the entries of theta."""
+    T, b, delta_T = inst
+    perm = list(range(T.shape[1]))
+    rnd.shuffle(perm)
+    tol = 1e-10
+    for solve in (lambda m: e1_direct(m), lambda m: e2_regularized(m, delta_T)):
+        base = solve(_mom(T, b)).theta_hat
+        permuted = solve(_mom(T[:, perm], b)).theta_hat
+        np.testing.assert_allclose(permuted, base[perm],
+                                   atol=tol * max(1.0, np.linalg.norm(base)))
+
+
+@given(_instances(wide=False))
+@settings(max_examples=40, deadline=None)
+def test_e1_e2_no_shift_gives_zero(inst):
+    T, _, delta_T = inst
+    p = np.full(T.shape[0], 1.0 / T.shape[0])
+    mom = MomentEstimates(T, p, p.copy(), 100, 100)
+    np.testing.assert_array_equal(e1_direct(mom).theta_hat, 0.0)
+    np.testing.assert_array_equal(e2_regularized(mom, delta_T).theta_hat, 0.0)
+
+
+@given(_instances())
+@settings(max_examples=200, deadline=None)
+def test_e2_interior_solves_are_stationary(inst):
+    T, b, delta_T = inst
+    d = e2_regularized(_mom(T, b), delta_T).diagnostics
+    if d["solution_path"] == "secular-root":
+        assert d["kkt_residual"] <= 1e-9
+
+
+# ===================== non-finite inputs =====================
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_categorical_estimators_reject_non_finite_inputs(bad):
+    T_bad = np.array(HAND_T)
+    T_bad[1, 0] = bad
+    for call in (lambda m: e1_direct(m), lambda m: e2_regularized(m, 0.1),
+                 lambda m: check_burn_in_categorical(m, 2, 2, 0.5, 1000, 0.1)):
+        with pytest.raises(NonFiniteInput) as exc:
+            call(_mom(T_bad, HAND_DIFF))
+        assert exc.value.field == "T_hat"
+    for call in (lambda m: e1_direct(m), lambda m: e2_regularized(m, 0.1)):
+        with pytest.raises(NonFiniteInput) as exc:
+            call(_mom(HAND_T, [0.07, bad]))
+        assert exc.value.field == "q_hat"
 
 
 # ===================== burn-in =====================

@@ -109,18 +109,17 @@ def test_invalid_delta_rejected(delta):
 
 
 def test_composite_epsilon_formula():
-    eps = composite_epsilon((0.1, 0.2, 0.3), proxy_inv_norm=1.5, theta_max=2.0,
-                            path="categorical")
+    eps = composite_epsilon((0.1, 0.2, 0.3), proxy_inv_norm=1.5, theta_max=2.0)
     assert abs(eps - 2 * 1.5 * (0.2 + 0.1 + 2.0 * 0.3)) < 1e-15
 
 
 def test_composite_epsilon_zero_radii():
-    assert composite_epsilon((0.0, 0.0, 0.0), 10.0, 5.0, "functional") == 0.0
+    assert composite_epsilon((0.0, 0.0, 0.0), 10.0, 5.0) == 0.0
 
 
-def test_composite_epsilon_rejects_unknown_path():
+def test_confidence_report_rejects_unknown_path():
     with pytest.raises(ValueError):
-        composite_epsilon((0.1, 0.1, 0.1), 1.0, 1.0, "other")
+        confidence_report("other", 0.5, 800, 800, 0.1, 1.0, 1.0, d=2, k=2)
 
 
 def test_confidence_report_matches_hand_evaluated_bound():
