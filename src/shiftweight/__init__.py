@@ -15,9 +15,9 @@ from .datagen import (CategoricalSynthConfig, Dataset, RegressionSynthConfig,
                       Split, gen_categorical, gen_regression, label_masses,
                       source_density, split_alpha, true_weight_categorical,
                       true_weight_function)
-from .erm import (FittedModel, WeightedERMResult, blend_gamma, choose_gamma,
+from .erm import (FittedModel, WeightedERMResult, blend_gamma,
                   oracle_target_risk, weighted_erm)
-from .errors import (ConfigError, IllConditioned, NonFiniteInput,
+from .errors import (ConfigError, DataError, IllConditioned, NonFiniteInput,
                      ShiftWeightError, SingularOperator)
 from .experiments import (ExperimentConfig, build_config, load_config,
                           relative_error, rows_to_csv, run_experiment,

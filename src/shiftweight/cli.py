@@ -45,7 +45,7 @@ def main(argv=None):
 
     try:
         rows = run_experiment(cfg, quiet=args.quiet)
-    except (ShiftWeightError, ValueError, np.linalg.LinAlgError) as exc:
+    except (ShiftWeightError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

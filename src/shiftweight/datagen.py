@@ -88,11 +88,15 @@ def label_masses(cfg):
     return p, q
 
 
-def class_centers(cfg):
-    """Per-class covariate centers: class c sits at c plus one seeded Gaussian offset."""
-    rng = np.random.default_rng(cfg.seed)
+def _draw_centers(cfg, rng):
+    # the first draws of the generator's stream, so the seed alone fixes them
     z = rng.normal(size=cfg.num_classes)
     return np.arange(cfg.num_classes) + cfg.noise_std * z
+
+
+def class_centers(cfg):
+    """Per-class covariate centers: class c sits at c plus one seeded Gaussian offset."""
+    return _draw_centers(cfg, np.random.default_rng(cfg.seed))
 
 
 def true_weight_categorical(cfg):
@@ -129,9 +133,7 @@ def gen_categorical(cfg, n, m):
         raise ValueError("n and m must be at least 1")
     p, q = label_masses(cfg)
     rng = np.random.default_rng(cfg.seed)
-    # center offsets first so they are fixed by the seed alone
-    z = rng.normal(size=cfg.num_classes)
-    centers = np.arange(cfg.num_classes) + cfg.noise_std * z
+    centers = _draw_centers(cfg, rng)
     sy = rng.choice(cfg.num_classes, size=n, p=p)
     sx = centers[sy] + cfg.noise_std * rng.normal(size=n)
     ty = rng.choice(cfg.num_classes, size=m, p=q)

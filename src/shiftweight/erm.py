@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictors import (feature_plan, fit_multinomial_logistic, gaussian_gram,
-                         gaussian_pivoted_cholesky, pivot_coefficients,
-                         rbf_features, _safe_spd_solve)
+from .errors import DataError, NonFiniteInput
+from .predictors import (feature_plan, fit_multinomial_logistic,
+                         kernel_ridge_fit, rbf_features)
 
 logger = logging.getLogger("shiftweight")
 
@@ -56,9 +56,10 @@ def _per_sample_weights(omega, y):
                        int(neg.sum()))
         w = np.where(neg, 0.0, w)
     if not np.all(np.isfinite(w)):
-        raise ValueError("importance weights must be finite")
+        raise NonFiniteInput("importance weights contain NaN or inf",
+                             field="importance_weights")
     if w.max() == 0.0:
-        raise ValueError("all importance weights are zero")
+        raise DataError("all importance weights are zero")
     return w
 
 
@@ -73,7 +74,7 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
     x, y = erm_split
     x = np.asarray(x, dtype=float)
     if len(x) == 0:
-        raise ValueError("empty ERM split")
+        raise DataError("empty ERM split")
     w = _per_sample_weights(omega, y)
 
     if family == "logistic":
@@ -91,19 +92,7 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
         risk = float(np.mean(w * (fn(x) != y)))
     elif family == "kernel_ridge":
         y = np.asarray(y, dtype=float)
-        ybar = float((w * y).sum() / w.sum())
-        # weighted Nystrom KRR on the Gram factor K ~ phi phi^T:
-        # (ridge I + phi^T W phi) a = phi^T W (y - ybar), f = phi a + ybar
-        phi, pivots, _ = gaussian_pivoted_cholesky(x, bandwidth)
-        phi_w = phi * w[:, None]
-        a = _safe_spd_solve(phi_w.T @ phi + ridge * np.eye(phi.shape[1]),
-                            phi_w.T @ (y - ybar))
-        centers = x.reshape(-1)[pivots]
-        coef = pivot_coefficients(phi, pivots, a)
-
-        def fn(xq):
-            return gaussian_gram(xq, centers, bandwidth) @ coef + ybar
-
+        fn, _ = kernel_ridge_fit(x, y, w, bandwidth, ridge)
         model = FittedModel("kernel_ridge", fn)
         risk = float(np.mean(w * np.clip((fn(x) - y) ** 2, 0.0, 1.0)))
     else:
@@ -116,16 +105,10 @@ def oracle_target_risk(model, target_x, target_y):
     """Mean bounded loss of the model on held-out labeled target samples."""
     target_x = np.asarray(target_x, dtype=float)
     if len(target_x) == 0:
-        raise ValueError("empty oracle target set")
+        raise DataError("empty oracle target set")
     pred = model.predict(target_x)
     if model.family == "logistic":
         return float(np.mean(pred != np.asarray(target_y, dtype=int)))
     err = (pred - np.asarray(target_y, dtype=float)) ** 2
     return float(np.mean(np.clip(err, 0.0, 1.0)))
 
-
-def choose_gamma(epsilon_delta, theta_max):
-    """Pick gamma in {0, 1} minimizing gamma*eps + (1-gamma)*theta_max.
-
-    Ties go to 1 (the shift-aware choice)."""
-    return 1.0 if epsilon_delta <= theta_max else 0.0

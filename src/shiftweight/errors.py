@@ -21,6 +21,11 @@ class NonFiniteInput(ShiftWeightError, ValueError):
         self.field = field
 
 
+class DataError(ShiftWeightError, ValueError):
+    """A sample cannot support the estimate: an empty split or target set, a
+    class absent from the training data, or no positive importance weight."""
+
+
 class IllConditioned(ShiftWeightError):
     """Linear system could not be solved even after jitter escalation."""
 

@@ -143,33 +143,22 @@ def evaluate_weight(est, gamma, ys):
     return 1.0 + gamma * theta_function(est)(np.asarray(ys, dtype=float))
 
 
-def operator_inverse_norm_proxy(km, max_anchors=512):
+def operator_inverse_norm_proxy(km):
     """Proxy for the inverse-operator norm on the resolvable span.
 
-    Smallest retained generalized eigenvalue of (S, K_yy) gives the squared
-    smallest singular value of the span-restricted operator; the proxy is its
-    inverse square root.  Large systems are strided down to max_anchors first,
-    which keeps this diagnostic (it has no unbiased estimator anyway) cheap.
-    The sub-blocks are built exactly from the stored points, not from the
-    factors: the proxy moves by far more than perturbations of u or of the
-    Gram blocks at the factor tolerance.
+    The squared singular values of the span-restricted operator are the
+    generalized eigenvalues of (S, K_yy) on range phi, with S = phi B^T B phi^T;
+    there they are the eigenvalues of B^T B, i.e. sigma(B)^2.  The proxy is
+    1 / sigma_min over the singular values of B with sigma^2 > EIG_TOL *
+    sigma_max^2 (the cutoff of e3_direct), and inf when none is positive.
     """
-    N = km.n_est
-    idx = np.arange(N)
-    if N > max_anchors:
-        idx = np.unique(np.round(np.linspace(0, N - 1, max_anchors)).astype(int))
-    K = gaussian_gram(km.anchors[idx], km.anchors[idx], km.bandwidth)
-    G = gaussian_gram(km.u_src[idx], km.u_src[idx], km.bandwidth)
-    Ns = len(idx)
-    A = K / Ns
-    S = A @ G @ A
-    jitter = 1e-10 * max(float(np.trace(K)) / Ns, 1.0)
-    vals = eigh(S, K + jitter * np.eye(Ns), eigvals_only=True)
-    vmax = float(vals[-1]) if len(vals) else 0.0
-    kept = vals[vals > EIG_TOL * max(vmax, 0.0)]
-    if vmax <= 0 or len(kept) == 0:
+    B, _ = _reduced_system(km)
+    s = np.linalg.svd(B, compute_uv=False)
+    smax = float(s[0]) if len(s) else 0.0
+    kept = s[s * s > EIG_TOL * smax * smax]
+    if smax <= 0 or len(kept) == 0:
         return float("inf")
-    return 1.0 / math.sqrt(float(kept.min()))
+    return 1.0 / float(kept.min())
 
 
 def check_burn_in_functional(n, alpha, delta, kappa_bar, op_inv_norm_proxy):

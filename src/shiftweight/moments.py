@@ -6,7 +6,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .datagen import class_centers, label_masses
-from .errors import NonFiniteInput
+from .errors import DataError, NonFiniteInput
 from .predictors import gaussian_pivoted_cholesky
 
 
@@ -25,7 +25,8 @@ class KernelMoments:
 
     kernel(y_i, y_j) ~ phi @ phi.T over the anchors, and the kernel over the
     u-images [u_src, u_tgt] ~ psi @ psi.T; every entry of either remainder is
-    at most factor_residual.  The points are kept for exact sub-blocks.
+    at most factor_residual.  The points are kept so that the exact blocks
+    can be rebuilt.
     """
     anchors: np.ndarray     # the estimation-split source labels y_i, (N,)
     u_src: np.ndarray       # u(x_i) over the estimation split, (N,)
@@ -56,7 +57,7 @@ def estimate_categorical_moments(est_split, target_x, g, k):
     x = np.asarray(x, dtype=float)
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
-        raise ValueError("empty estimation split or target set")
+        raise DataError("empty estimation split or target set")
     _require_finite(source_covariates=x, labels=np.asarray(y, dtype=float),
                     target_covariates=target_x)
     y = np.asarray(y, dtype=int)
@@ -91,7 +92,7 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     y = np.asarray(y, dtype=float)
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
-        raise ValueError("empty estimation split or target set")
+        raise DataError("empty estimation split or target set")
     _require_finite(source_covariates=x, labels=y, target_covariates=target_x)
     u_src = np.asarray(u(x), dtype=float).reshape(-1)
     u_tgt = np.asarray(u(target_x), dtype=float).reshape(-1)

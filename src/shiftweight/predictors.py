@@ -9,6 +9,8 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
 
+from .errors import DataError
+
 
 class StatisticFn:
     """Trained statistic; maps covariates (n,) to (n, d) outputs, or (n,) in kernel mode."""
@@ -51,7 +53,7 @@ def _check_classes_present(y, k):
     present = np.bincount(np.asarray(y, dtype=int), minlength=k)
     for c in range(k):
         if present[c] == 0:
-            raise ValueError(f"class {c} absent from training data")
+            raise DataError(f"class {c} absent from training data")
 
 
 def _safe_spd_solve(a, b):
@@ -186,25 +188,42 @@ def pivot_coefficients(phi, pivots, a):
     return solve_triangular(phi[pivots], a, lower=True, trans="T")
 
 
+def kernel_ridge_fit(x, y, w, bandwidth, ridge):
+    """Weighted Nystrom kernel ridge regression with an unpenalized mean offset.
+
+    On the pivoted-Cholesky factor K ~ phi phi^T of the Gaussian Gram matrix
+    over x, solves (ridge I + phi^T W phi) a = phi^T W (y - ybar), with
+    W = diag(w) and ybar the w-weighted mean of y; the fit is phi a + ybar on
+    the sample.  Returns the predictor xq -> kernel(xq, pivots) @ coef + ybar
+    and its parameters.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    ybar = float((w * y).sum() / w.sum())
+    phi, pivots, _ = gaussian_pivoted_cholesky(x, bandwidth)
+    phi_w = phi * w[:, None]
+    a = _safe_spd_solve(phi_w.T @ phi + ridge * np.eye(phi.shape[1]),
+                        phi_w.T @ (y - ybar))
+    centers = x[pivots]
+    coef = pivot_coefficients(phi, pivots, a)
+
+    def fn(xq):
+        return gaussian_gram(xq, centers, bandwidth) @ coef + ybar
+
+    return fn, {"centers": centers, "coef": coef, "bandwidth": bandwidth,
+                "ridge": ridge, "ybar": ybar}
+
+
 def train_kernel_regressor(train, bandwidth=0.9, ridge=1e-2):
-    """Gaussian kernel ridge regression for u, with an unpenalized mean offset.
+    """Gaussian kernel ridge regression for u, with an unpenalized mean offset
+    (unweighted `kernel_ridge_fit`).
 
     Centering y makes the heavy-ridge limit revert to mean(y) instead of 0.
     """
     if bandwidth <= 0 or ridge <= 0:
         raise ValueError("bandwidth and ridge must be positive")
     x, y = train
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
     if len(x) == 0:
-        raise ValueError("empty training set")
-    ybar = float(y.mean())
-    K = gaussian_gram(x, x, bandwidth)
-    coef = _safe_spd_solve(K + ridge * np.eye(len(x)), y - ybar)
-
-    def fn(xq):
-        return gaussian_gram(xq, x, bandwidth) @ coef + ybar
-
-    return StatisticFn("KernelRegressor", 1, fn,
-                       params={"x": x, "coef": coef, "bandwidth": bandwidth,
-                               "ridge": ridge, "ybar": ybar})
+        raise DataError("empty training set")
+    fn, params = kernel_ridge_fit(x, y, np.ones(len(x)), bandwidth, ridge)
+    return StatisticFn("KernelRegressor", 1, fn, params=params)

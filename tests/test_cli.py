@@ -1,5 +1,8 @@
 """Entry-point behavior: exit codes, output routing, overrides."""
 
+import pytest
+
+from shiftweight import experiments
 from shiftweight.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from shiftweight.experiments import CSV_COLUMNS
 
@@ -70,6 +73,17 @@ def test_undersampled_classes_exit_three(tmp_path, capsys):
     code = main(["run", _write(tmp_path, cfg), "--quiet"])
     assert code == EXIT_NUMERIC
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_bug_is_not_reported_as_a_numerical_failure(tmp_path, capsys,
+                                                     monkeypatch):
+    def broken(mom):
+        raise ValueError("not a ShiftWeightError")
+
+    monkeypatch.setattr(experiments, "e1_direct", broken)
+    with pytest.raises(ValueError, match="not a ShiftWeightError"):
+        main(["run", _write(tmp_path, GOOD), "--quiet"])
+    assert "numerical failure" not in capsys.readouterr().err
 
 
 def test_progress_lines_only_without_quiet(tmp_path, capsys):

@@ -89,6 +89,32 @@ def test_same_seed_bit_identical():
     np.testing.assert_array_equal(r1.target_x, r2.target_x)
 
 
+def _gen_categorical_draws(cfg, n, m):
+    """The categorical generator's seed consumption written out: center
+    offsets, source labels, source noise, target labels, target noise."""
+    p, q = label_masses(cfg)
+    k = cfg.num_classes
+    rng = np.random.default_rng(cfg.seed)
+    centers = np.arange(k) + cfg.noise_std * rng.normal(size=k)
+    sy = rng.choice(k, size=n, p=p)
+    sx = centers[sy] + cfg.noise_std * rng.normal(size=n)
+    ty = rng.choice(k, size=m, p=q)
+    tx = centers[ty] + cfg.noise_std * rng.normal(size=m)
+    return centers, sx, sy, tx, ty
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_gen_categorical_draw_order_is_pinned(k):
+    for seed in range(5):
+        cfg = CategoricalSynthConfig(k, seed=seed)
+        ds = gen_categorical(cfg, 300, 200)
+        centers, sx, sy, tx, ty = _gen_categorical_draws(cfg, 300, 200)
+        np.testing.assert_array_equal(class_centers(cfg), centers)
+        for got, want in ((ds.source_x, sx), (ds.source_y, sy),
+                          (ds.target_x, tx), (ds.target_y_oracle, ty)):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_covariates_cluster_at_class_centers():
     cfg = CategoricalSynthConfig(4, noise_std=0.5, seed=7)
     ds = gen_categorical(cfg, 20000, 10)

@@ -5,8 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from shiftweight import (blend_gamma, choose_gamma, oracle_target_risk,
-                         weighted_erm)
+from shiftweight import blend_gamma, oracle_target_risk, weighted_erm
 from shiftweight.erm import FittedModel
 
 
@@ -153,8 +152,3 @@ def test_oracle_risk_clips_squared_error():
     assert oracle_target_risk(model, np.zeros(1), np.array([2.0])) == 1.0
     assert oracle_target_risk(model, np.zeros(1), np.array([0.5])) == 0.25
 
-
-def test_choose_gamma_threshold_and_tie():
-    assert choose_gamma(0.5, 1.0) == 1.0
-    assert choose_gamma(1.5, 1.0) == 0.0
-    assert choose_gamma(1.0, 1.0) == 1.0

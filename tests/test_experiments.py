@@ -1,10 +1,15 @@
 """Config parsing, the sweep runner, and CSV serialization."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shiftweight
 from shiftweight import (ConfigError, RegressionSynthConfig, build_config,
                          relative_error, rows_to_csv, run_experiment,
                          true_weight_function)
@@ -213,6 +218,41 @@ def _row(**over):
     }
     row.update(over)
     return row
+
+
+# Runs small functional_vs_n (E3, E4) and categorical_vs_n (E2) sweeps and
+# prints their metric columns as JSON; executed in a fresh interpreter so
+# that OPENBLAS_NUM_THREADS takes effect.
+_THREAD_RUN = """
+import json
+from shiftweight import build_config, run_experiment
+common = {"sweep": (300, 600), "seeds": (0, 1), "reg_scale": 0.1,
+          "run_erm": True}
+out = []
+for est, scen in (("E3", "functional_vs_n"), ("E4", "functional_vs_n"),
+                  ("E2", "categorical_vs_n")):
+    rows = run_experiment(build_config(dict(common, estimator=est,
+                                            scenario=scen)))
+    out.append([[r["relative_error"], r["epsilon_delta"], r["target_risk"]]
+                for r in rows])
+print(json.dumps(out))
+"""
+
+
+def _run_with_blas_threads(threads):
+    src = os.path.dirname(os.path.dirname(shiftweight.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=600)
+    return np.array(json.loads(done.stdout.splitlines()[-1]), dtype=float)
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    one, two = _run_with_blas_threads(1), _run_with_blas_threads(2)
+    np.testing.assert_allclose(two, one, rtol=1e-9, atol=0.0)
 
 
 def test_csv_fixed_timestamp_and_header():

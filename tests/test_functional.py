@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftweight import (IllConditioned, RegressionSynthConfig,
                          SingularOperator, check_burn_in_functional,
@@ -324,12 +326,53 @@ def test_operator_proxy_positive_and_finite():
     assert np.isfinite(proxy) and proxy > 0
 
 
-def test_operator_proxy_strides_large_systems():
-    km = _instance(13, n=120, m=20)
-    full = operator_inverse_norm_proxy(km, max_anchors=512)
-    strided = operator_inverse_norm_proxy(km, max_anchors=16)
-    assert np.isfinite(strided) and strided > 0
-    assert np.isfinite(full)
+@pytest.mark.parametrize("seed", range(3))
+def test_operator_proxy_ignores_the_order_of_the_split(seed):
+    """Permuting the estimation split's (x, y) pairs leaves the proxy within
+    1e-9 relative."""
+    cfg = RegressionSynthConfig(0.2, 0.8, seed=seed)
+    ds = gen_regression(cfg, 2000, 2000)
+    sp = split_alpha(ds, 0.5, seed=seed)
+    u = train_kernel_regressor((sp.erm_x, sp.erm_y))
+    perm = np.random.default_rng(100 + seed).permutation(len(sp.est_x))
+    proxy = operator_inverse_norm_proxy(
+        estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u))
+    permuted = operator_inverse_norm_proxy(estimate_kernel_moments(
+        (sp.est_x[perm], sp.est_y[perm]), ds.target_x, u))
+    assert np.isfinite(proxy) and proxy > 0
+    assert permuted == pytest.approx(proxy, rel=1e-9)
+
+
+_SAMPLES = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(20, 400),
+                     st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+
+
+def _moments(seed, n, a, b, target_is_source=False):
+    cfg = RegressionSynthConfig(a, b, seed=seed)
+    ds = gen_regression(cfg, n, n)
+    sp = split_alpha(ds, 0.5, seed=seed)
+    u = train_kernel_regressor((sp.erm_x, sp.erm_y))
+    target = sp.est_x if target_is_source else ds.target_x
+    return estimate_kernel_moments((sp.est_x, sp.est_y), target, u)
+
+
+@given(_SAMPLES, st.floats(1e-6, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_e3_e4_no_shift_gives_zero(sample, lam):
+    """The target sample equal to the source sample leaves no moment
+    difference, so both estimates are the zero function."""
+    km = _moments(*sample, target_is_source=True)
+    assert e3_direct(km).rkhs_norm <= 1e-9
+    assert e4_regularized(km, lam).rkhs_norm <= 1e-9
+
+
+@given(_SAMPLES, st.floats(1e-6, 10.0), st.floats(1e-6, 10.0))
+@settings(max_examples=40, deadline=None)
+def test_e4_rkhs_norm_does_not_grow_with_lam(sample, lam1, lam2):
+    km = _moments(*sample)
+    lo, hi = sorted((lam1, lam2))
+    assert e4_regularized(km, hi).rkhs_norm \
+        <= e4_regularized(km, lo).rkhs_norm * (1.0 + 1e-9)
 
 
 def test_functional_burn_in_threshold():
