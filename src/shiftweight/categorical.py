@@ -140,11 +140,16 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
         hi = 2.0 * rho * smax * smax / (1.0 - rho)
         # Below EPS s_kept_min^2, theta(t) equals theta0 to working precision.
         floor = EPS * float(s[rank_mask][-1]) ** 2
-        lo = hi * BRACKET_STEP
+        lo = hi                     # the first probe checks the bound at hi
         while lo >= floor and psi(lo) < 0.0:
             hi, lo = lo, lo * BRACKET_STEP
         if lo < floor:
             theta, how = theta0, "kink-shortcut"
+        elif lo == hi:
+            # psi(hi) >= 0 breaks the bound only through rounding, which
+            # outweighs its margin once rho is 1 to working precision; theta(hi)
+            # is then zero to working precision
+            theta, how = np.zeros(T.shape[1]), "zero-shortcut"
         else:
             t = brentq(psi, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * EPS)
             w = 1.0 / (s * s + t)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NonFiniteInput
-from .predictors import (feature_plan, fit_multinomial_logistic,
-                         kernel_ridge_fit, rbf_features)
+from .predictors import kernel_ridge_fit, logistic_fit
 
 logger = logging.getLogger("shiftweight")
 
@@ -33,7 +32,6 @@ class WeightedERMResult:
     model: FittedModel
     gamma: float            # recorded blend used to build the weights, if known
     train_weighted_risk: float
-    target_risk: float = None
 
 
 def blend_gamma(theta_hat, gamma):
@@ -81,18 +79,16 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
         y = np.asarray(y, dtype=int)
         if k is None:
             k = int(y.max()) + 1
-        centers, scale = feature_plan(x)
-        feats = rbf_features(x, centers, scale)
-        W = fit_multinomial_logistic(feats, y, k, sample_weight=w)
+        logits = logistic_fit(x, y, k, w)
 
         def fn(xq):
-            return np.argmax(rbf_features(xq, centers, scale) @ W, axis=1)
+            return np.argmax(logits(xq), axis=1)
 
         model = FittedModel("logistic", fn)
         risk = float(np.mean(w * (fn(x) != y)))
     elif family == "kernel_ridge":
         y = np.asarray(y, dtype=float)
-        fn, _ = kernel_ridge_fit(x, y, w, bandwidth, ridge)
+        fn = kernel_ridge_fit(x, y, w, bandwidth, ridge)
         model = FittedModel("kernel_ridge", fn)
         risk = float(np.mean(w * np.clip((fn(x) - y) ** 2, 0.0, 1.0)))
     else:

@@ -2,7 +2,7 @@
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,27 +29,28 @@ GRID_POINTS = 100           # evaluation grid on [0, 1] for functional errors
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; each field is a config key with its type and default."""
     scenario: str
     estimator: str
-    statistic_mode: str
-    sweep: tuple
-    seeds: tuple
-    n: int
-    m: int                  # None means m = n per cell
-    k: int
-    alpha: float
-    gamma: float
-    delta: float
-    noise_std: float
-    a: float
-    b: float
-    bandwidth: float
-    reg: object             # "auto" or a float
-    reg_scale: float        # multiplies the auto radius used as E2/E4 weight
-    theta_max: float
-    run_erm: bool
-    equal_masses: bool
-    out: str
+    statistic_mode: str = None  # None: the path's default, set by build_config
+    sweep: tuple = ()
+    seeds: tuple = ()
+    n: int = 2000
+    m: int = None           # None means m = n per cell
+    k: int = 4
+    alpha: float = 0.5
+    gamma: float = 1.0
+    delta: float = 0.1
+    noise_std: float = None  # None: the path's default, set by build_config
+    a: float = 0.2
+    b: float = 0.8
+    bandwidth: float = 0.9
+    reg: object = "auto"    # "auto" or a float
+    reg_scale: float = 1.0  # multiplies the auto radius used as E2/E4 weight
+    theta_max: float = 10.0
+    run_erm: bool = False
+    equal_masses: bool = False
+    out: str = None
 
     @property
     def path(self):
@@ -58,32 +59,23 @@ class ExperimentConfig:
 
 # ===================== config file parsing =====================
 
-_INT_LIST = ("sweep", "seeds")
-_INT = ("n", "m", "k")
-_FLOAT = ("alpha", "gamma", "delta", "noise_std", "a", "b", "bandwidth",
-          "reg_scale", "theta_max")
-_BOOL = ("run_erm", "equal_masses")
-_STR = ("scenario", "estimator", "statistic_mode", "out")
-_ALL_KEYS = set(_INT_LIST) | set(_INT) | set(_FLOAT) | set(_BOOL) | set(_STR) | {"reg"}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key, raw, lineno):
+    kind = _FIELDS[key].type
     try:
-        if key in _INT_LIST:
+        if kind is tuple:
             return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        if key in _INT:
-            return int(raw)
-        if key in _FLOAT:
-            return float(raw)
-        if key in _BOOL:
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if key == "reg":
+        if kind is object:
             return "auto" if raw.lower() == "auto" else float(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r}",
                           line=lineno, field=key) from None
@@ -102,7 +94,7 @@ def parse_config_text(text):
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}",
                               line=lineno, field=key)
         raw[key] = _parse_value(key, value, lineno)
@@ -110,71 +102,50 @@ def parse_config_text(text):
 
 
 def build_config(raw, seeds_override=None, out_override=None):
-    """Validate the raw key dict and fill defaults."""
-    def need(key):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}", field=key)
-        return raw[key]
+    """Validate the raw key dict, rejecting unknown keys, and fill defaults."""
+    for key in raw:
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown key {key!r}", field=key)
+    for f in _FIELDS.values():
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"missing required key {f.name!r}", field=f.name)
+    cfg = ExperimentConfig(**raw)
+    if seeds_override is not None:
+        cfg.seeds = tuple(seeds_override)
+    if out_override is not None:
+        cfg.out = out_override
+    cfg.sweep = tuple(cfg.sweep)
 
-    scenario = need("scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}", field="scenario")
-    estimator = need("estimator")
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {estimator!r}", field="estimator")
-    path = "categorical" if estimator in ("E1", "E2") else "functional"
-    if scenario in ("categorical_vs_k", "categorical_vs_n") and path != "categorical":
-        raise ConfigError(f"{estimator} requires a functional scenario",
+    if cfg.scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {cfg.scenario!r}", field="scenario")
+    if cfg.estimator not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {cfg.estimator!r}", field="estimator")
+    if cfg.scenario in ("categorical_vs_k", "categorical_vs_n") \
+            and cfg.path != "categorical":
+        raise ConfigError(f"{cfg.estimator} requires a functional scenario",
                           field="estimator")
-    if scenario == "functional_vs_n" and path != "functional":
-        raise ConfigError(f"{estimator} requires a categorical scenario",
+    if cfg.scenario == "functional_vs_n" and cfg.path != "functional":
+        raise ConfigError(f"{cfg.estimator} requires a categorical scenario",
                           field="estimator")
 
-    mode = raw.get("statistic_mode",
-                   "simplex" if path == "categorical" else "kernel")
-    if path == "categorical" and mode not in ("simplex", "hypercube"):
-        raise ConfigError(f"statistic_mode {mode!r} invalid for {estimator}",
-                          field="statistic_mode")
-    if path == "functional" and mode != "kernel":
-        raise ConfigError(f"statistic_mode {mode!r} invalid for {estimator}",
-                          field="statistic_mode")
+    categorical = cfg.path == "categorical"
+    if cfg.statistic_mode is None:
+        cfg.statistic_mode = "simplex" if categorical else "kernel"
+    if cfg.noise_std is None:
+        cfg.noise_std = 0.5 if categorical else 0.1
+    modes = ("simplex", "hypercube") if categorical else ("kernel",)
+    if cfg.statistic_mode not in modes:
+        raise ConfigError(f"statistic_mode {cfg.statistic_mode!r} invalid for "
+                          f"{cfg.estimator}", field="statistic_mode")
 
-    seeds = tuple(seeds_override) if seeds_override is not None \
-        else raw.get("seeds", ())
-    if not seeds:
+    if not cfg.seeds:
         raise ConfigError("seeds must be nonempty", field="seeds")
-
-    sweep = raw.get("sweep", ())
-    if scenario != "single_run":
-        if not sweep:
-            raise ConfigError(f"{scenario} needs a sweep", field="sweep")
-        if any(b <= a for a, b in zip(sweep, sweep[1:])):
+    if cfg.scenario != "single_run":
+        if not cfg.sweep:
+            raise ConfigError(f"{cfg.scenario} needs a sweep", field="sweep")
+        if any(b <= a for a, b in zip(cfg.sweep, cfg.sweep[1:])):
             raise ConfigError("sweep values must be strictly increasing",
                               field="sweep")
-
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        estimator=estimator,
-        statistic_mode=mode,
-        sweep=tuple(sweep),
-        seeds=seeds,
-        n=raw.get("n", 2000),
-        m=raw.get("m"),
-        k=raw.get("k", 4),
-        alpha=raw.get("alpha", 0.5),
-        gamma=raw.get("gamma", 1.0),
-        delta=raw.get("delta", 0.1),
-        noise_std=raw.get("noise_std", 0.5 if path == "categorical" else 0.1),
-        a=raw.get("a", 0.2),
-        b=raw.get("b", 0.8),
-        bandwidth=raw.get("bandwidth", 0.9),
-        reg=raw.get("reg", "auto"),
-        reg_scale=raw.get("reg_scale", 1.0),
-        theta_max=raw.get("theta_max", 10.0),
-        run_erm=raw.get("run_erm", False),
-        equal_masses=raw.get("equal_masses", False),
-        out=out_override if out_override is not None else raw.get("out"),
-    )
 
     checks = [
         (0.0 < cfg.alpha <= 1.0, "alpha", "alpha must lie in (0, 1]"),
@@ -228,13 +199,12 @@ def relative_error(estimate, oracle, path="categorical"):
 # ===================== sweep runner =====================
 
 def _cells(cfg):
+    label = float(cfg.k) if cfg.path == "categorical" else cfg.bandwidth
     if cfg.scenario == "categorical_vs_k":
         return [(float(kv), cfg.n) for kv in cfg.sweep]
-    if cfg.scenario in ("categorical_vs_n", "functional_vs_n"):
-        label = float(cfg.k) if cfg.path == "categorical" else cfg.bandwidth
-        return [(label, nv) for nv in cfg.sweep]
-    label = float(cfg.k) if cfg.path == "categorical" else cfg.bandwidth
-    return [(label, cfg.n)]
+    if cfg.scenario == "single_run":
+        return [(label, cfg.n)]
+    return [(label, nv) for nv in cfg.sweep]
 
 
 def _run_categorical_cell(cfg, k, n, m, seed):
@@ -332,28 +302,18 @@ def run_experiment(cfg, quiet=True):
 
 
 def _summaries(rows):
-    cells = []
+    groups = {}
     for row in rows:
         key = (row["k_or_bandwidth"], row["n"], row["m"])
-        if key not in cells:
-            cells.append(key)
+        groups.setdefault(key, []).append(row)
     out = []
-    for key in cells:
-        group = [r for r in rows
-                 if (r["k_or_bandwidth"], r["n"], r["m"]) == key]
-        tr = [r["target_risk"] for r in group]
-        out.append({
-            "scenario": group[0]["scenario"], "estimator": group[0]["estimator"],
-            "statistic_mode": group[0]["statistic_mode"],
-            "k_or_bandwidth": key[0], "n": key[1], "m": key[2],
-            "seed": "median",
-            "relative_error": float(np.median([r["relative_error"] for r in group])),
-            "epsilon_delta": float(np.median([r["epsilon_delta"] for r in group])),
-            "burn_in_ok": all(r["burn_in_ok"] for r in group),
-            "target_risk": None if any(t is None for t in tr)
-            else float(np.median(tr)),
-            "wall_ms": float(np.median([r["wall_ms"] for r in group])),
-        })
+    for group in groups.values():
+        summary = dict(group[0], seed="median",
+                       burn_in_ok=all(r["burn_in_ok"] for r in group))
+        for col in ("relative_error", "epsilon_delta", "target_risk", "wall_ms"):
+            values = [r[col] for r in group]
+            summary[col] = None if None in values else float(np.median(values))
+        out.append(summary)
     return out
 
 

@@ -15,11 +15,10 @@ from .errors import DataError
 class StatisticFn:
     """Trained statistic; maps covariates (n,) to (n, d) outputs, or (n,) in kernel mode."""
 
-    def __init__(self, mode, output_dim, fn, params=None):
+    def __init__(self, mode, output_dim, fn):
         self.mode = mode
         self.output_dim = output_dim
         self._fn = fn
-        self.params = params or {}
 
     def __call__(self, x):
         return self._fn(np.asarray(x, dtype=float))
@@ -101,23 +100,32 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, reg=1e-4,
     return W
 
 
-def _softmax_predictor(centers, scale, W):
-    def fn(x):
-        logits = rbf_features(x, centers, scale) @ W
-        logits -= logits.max(axis=1, keepdims=True)
-        ez = np.exp(logits)
-        return ez / ez.sum(axis=1, keepdims=True)
-    return fn
+def logistic_fit(x, y, k, w=None):
+    """Weighted multinomial logistic regression on the RBF features of x;
+    returns the logits function xq -> (len(xq), k).  w = None: unit weights."""
+    centers, scale = feature_plan(x)
+    W = fit_multinomial_logistic(rbf_features(x, centers, scale), y, k,
+                                 sample_weight=w)
+
+    def logits(xq):
+        return rbf_features(xq, centers, scale) @ W
+
+    return logits
 
 
 def train_simplex(train, k):
     """Multinomial logistic statistic; outputs on the probability simplex."""
     x, y = train
     _check_classes_present(y, k)
-    centers, scale = feature_plan(x)
-    W = fit_multinomial_logistic(rbf_features(x, centers, scale), y, k)
-    return StatisticFn("Simplex", k, _softmax_predictor(centers, scale, W),
-                       params={"centers": centers, "scale": scale, "W": W})
+    logits = logistic_fit(x, y, k)
+
+    def fn(xq):
+        z = logits(xq)
+        z -= z.max(axis=1, keepdims=True)
+        ez = np.exp(z)
+        return ez / ez.sum(axis=1, keepdims=True)
+
+    return StatisticFn("Simplex", k, fn)
 
 
 def train_hypercube(train, k):
@@ -135,8 +143,7 @@ def train_hypercube(train, k):
     def fn(xq):
         return np.clip(rbf_features(xq, centers, scale) @ W, -1.0, 1.0)
 
-    return StatisticFn("HyperCube", k, fn,
-                       params={"centers": centers, "scale": scale, "W": W})
+    return StatisticFn("HyperCube", k, fn)
 
 
 # ===================== regression statistic =====================
@@ -194,8 +201,7 @@ def kernel_ridge_fit(x, y, w, bandwidth, ridge):
     On the pivoted-Cholesky factor K ~ phi phi^T of the Gaussian Gram matrix
     over x, solves (ridge I + phi^T W phi) a = phi^T W (y - ybar), with
     W = diag(w) and ybar the w-weighted mean of y; the fit is phi a + ybar on
-    the sample.  Returns the predictor xq -> kernel(xq, pivots) @ coef + ybar
-    and its parameters.
+    the sample.  Returns the predictor xq -> kernel(xq, pivots) @ coef + ybar.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -210,8 +216,7 @@ def kernel_ridge_fit(x, y, w, bandwidth, ridge):
     def fn(xq):
         return gaussian_gram(xq, centers, bandwidth) @ coef + ybar
 
-    return fn, {"centers": centers, "coef": coef, "bandwidth": bandwidth,
-                "ridge": ridge, "ybar": ybar}
+    return fn
 
 
 def train_kernel_regressor(train, bandwidth=0.9, ridge=1e-2):
@@ -225,5 +230,5 @@ def train_kernel_regressor(train, bandwidth=0.9, ridge=1e-2):
     x, y = train
     if len(x) == 0:
         raise DataError("empty training set")
-    fn, params = kernel_ridge_fit(x, y, np.ones(len(x)), bandwidth, ridge)
-    return StatisticFn("KernelRegressor", 1, fn, params=params)
+    return StatisticFn("KernelRegressor", 1,
+                       kernel_ridge_fit(x, y, np.ones(len(x)), bandwidth, ridge))

@@ -220,6 +220,24 @@ def test_e2_interior_root_is_stationary_where_a_grid_scan_stopped_early():
     assert _objective(T, b, delta_T, est.theta_hat) <= 0.117938601747789 - 2e-7
 
 
+def test_e2_just_below_the_zero_threshold_returns_zero():
+    """A delta_T a few ulps below the zero threshold makes rho 1 to working
+    precision, where rounding in psi swamps the margin of the bracket's upper
+    end; E2 must still solve, with theta negligible against T^+ b."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        d = k + int(rng.integers(0, 3))
+        T = rng.uniform(0.05, 1.0, (d, k))
+        b = rng.normal(size=d)
+        delta_T = np.linalg.norm(T.T @ b) / np.linalg.norm(b)
+        scale = np.linalg.norm(np.linalg.pinv(T) @ b)
+        for _ in range(12):
+            delta_T = np.nextafter(delta_T, 0.0)
+            theta = e2_regularized(_mom(T, b), delta_T).theta_hat
+            assert np.linalg.norm(theta) <= 1e-12 * scale
+
+
 def test_e2_root_below_working_precision_returns_the_kink():
     """b sits 1e-12 off the range of a tall T, so the residual test of the kink
     shortcut fails; with delta_T = 1e-6 the root lies below eps sigma_min^2,

@@ -5,14 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 import shiftweight
-from shiftweight import (ConfigError, RegressionSynthConfig, build_config,
-                         relative_error, rows_to_csv, run_experiment,
-                         true_weight_function)
+from shiftweight import (ConfigError, ExperimentConfig, RegressionSynthConfig,
+                         build_config, relative_error, rows_to_csv,
+                         run_experiment, true_weight_function)
 from shiftweight.experiments import CSV_COLUMNS, _summaries, parse_config_text
 
 BASE = {
@@ -66,6 +67,49 @@ def test_parse_missing_equals_sign():
 def test_parse_reg_auto_and_float():
     assert parse_config_text("reg = auto\n")["reg"] == "auto"
     assert parse_config_text("reg = 0.25\n")["reg"] == 0.25
+
+
+def test_parse_and_build_every_key():
+    """A file that sets every key away from its default builds exactly the
+    config it spells out."""
+    raw = parse_config_text(
+        "scenario = categorical_vs_k\n"
+        "estimator = E2\n"
+        "statistic_mode = hypercube\n"
+        "sweep = 2, 3, 5\n"
+        "seeds = 4, 5\n"
+        "n = 900\n"
+        "m = 700\n"
+        "k = 3\n"
+        "alpha = 0.4\n"
+        "gamma = 0.25\n"
+        "delta = 0.05\n"
+        "noise_std = 0.3\n"
+        "a = 0.35\n"
+        "b = 0.65\n"
+        "bandwidth = 0.6\n"
+        "reg = 0.02\n"
+        "reg_scale = 0.1\n"
+        "theta_max = 7.5\n"
+        "run_erm = yes\n"
+        "equal_masses = 1\n"
+        "out = sweep.csv\n")
+    cfg = build_config(raw)
+    assert cfg == ExperimentConfig(
+        scenario="categorical_vs_k", estimator="E2", statistic_mode="hypercube",
+        sweep=(2, 3, 5), seeds=(4, 5), n=900, m=700, k=3, alpha=0.4,
+        gamma=0.25, delta=0.05, noise_std=0.3, a=0.35, b=0.65, bandwidth=0.6,
+        reg=0.02, reg_scale=0.1, theta_max=7.5, run_erm=True,
+        equal_masses=True, out="sweep.csv")
+    assert set(raw) == {f.name for f in fields(ExperimentConfig)}
+    for f in fields(ExperimentConfig):
+        assert f.default is MISSING or getattr(cfg, f.name) != f.default, f.name
+
+
+def test_build_rejects_unknown_key():
+    with pytest.raises(ConfigError) as exc:
+        build_config(dict(BASE, reg_scal=0.1))
+    assert exc.value.field == "reg_scal"
 
 
 def test_build_requires_scenario_estimator_seeds():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from shiftweight import (RegressionSynthConfig, gaussian_gram, gen_regression,
+from shiftweight import (CategoricalSynthConfig, RegressionSynthConfig,
+                         gaussian_gram, gen_categorical, gen_regression,
                          train_hypercube, train_kernel_regressor,
-                         train_simplex)
-from shiftweight.predictors import feature_plan, rbf_features
+                         train_simplex, weighted_erm)
+from shiftweight.predictors import (feature_plan, fit_multinomial_logistic,
+                                    rbf_features)
 
 
 def _blobs(rng, k, per_class, spread=0.05, gap=10.0):
@@ -75,6 +77,32 @@ def test_missing_class_raises_with_class_named():
         train_simplex((x, y), 3)
     with pytest.raises(ValueError, match="class 1"):
         train_hypercube((x, y), 3)
+
+
+@pytest.mark.parametrize("k", (2, 4, 6))
+def test_statistic_and_erm_share_one_logistic_fit(k):
+    """The simplex statistic is the softmax, and weighted logistic ERM the
+    argmax, of the weighted multinomial logistic fit on the RBF features of
+    the training covariates, bit for bit."""
+    for n in (500, 2000, 4000):
+        ds = gen_categorical(CategoricalSynthConfig(k, 0.5, n + k), n, n)
+        x, y, xq = ds.source_x, ds.source_y, ds.target_x
+        centers, scale = feature_plan(x)
+        feats = rbf_features(x, centers, scale)
+        feats_q = rbf_features(xq, centers, scale)
+
+        z = feats_q @ fit_multinomial_logistic(feats, y, k)
+        ez = np.exp(z - z.max(axis=1, keepdims=True))
+        np.testing.assert_array_equal(train_simplex((x, y), k)(xq),
+                                      ez / ez.sum(axis=1, keepdims=True))
+
+        for omega in (np.ones(k), np.linspace(0.5, 2.0, k)):
+            W = fit_multinomial_logistic(feats, y, k, sample_weight=omega[y])
+            fit = weighted_erm((x, y), omega, "logistic", k=k)
+            np.testing.assert_array_equal(fit.model.predict(xq),
+                                          np.argmax(feats_q @ W, axis=1))
+            assert fit.train_weighted_risk == float(
+                np.mean(omega[y] * (np.argmax(feats @ W, axis=1) != y)))
 
 
 def test_hypercube_outputs_clipped_to_unit_cube():
