@@ -6,8 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import SingularOperator
-from .moments import _require_finite
+from .errors import SingularOperator, require_finite
 
 RANK_TOL = 1e-12            # relative singular value cutoff
 EPS = np.finfo(float).eps   # unit roundoff
@@ -23,13 +22,13 @@ class CategoricalWeightEstimate:
 
 
 def _svd_checked(T_hat):
-    _require_finite(T_hat=T_hat)
+    require_finite(T_hat=T_hat)
     return np.linalg.svd(T_hat, full_matrices=False)
 
 
 def _shift_vector(mom):
     """b = q_hat - p_hat, after checking both inputs are finite."""
-    _require_finite(p_hat=mom.p_hat, q_hat=mom.q_hat)
+    require_finite(p_hat=mom.p_hat, q_hat=mom.q_hat)
     return np.asarray(mom.q_hat - mom.p_hat, dtype=float)
 
 

@@ -1,5 +1,7 @@
 """Error types raised by the estimators and the experiment runner."""
 
+import numpy as np
+
 
 class ShiftWeightError(Exception):
     pass
@@ -21,13 +23,21 @@ class NonFiniteInput(ShiftWeightError, ValueError):
         self.field = field
 
 
+def require_finite(**arrays):
+    """Raise NonFiniteInput naming the first keyword array that holds NaN or inf."""
+    for name, values in arrays.items():
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteInput(f"{name} contains NaN or inf", field=name)
+
+
 class DataError(ShiftWeightError, ValueError):
     """A sample cannot support the estimate: an empty split or target set, a
     class absent from the training data, or no positive importance weight."""
 
 
 class IllConditioned(ShiftWeightError):
-    """Linear system could not be solved even after jitter escalation."""
+    """A linear system could not be solved, even after any jitter escalation,
+    or an iterative fit did not converge within its step cap."""
 
 
 class ConfigError(ShiftWeightError):

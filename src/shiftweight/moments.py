@@ -6,7 +6,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .datagen import class_centers, label_masses
-from .errors import DataError, NonFiniteInput
+from .errors import DataError, require_finite
 from .predictors import gaussian_pivoted_cholesky
 
 
@@ -41,12 +41,6 @@ class KernelMoments:
     m: int
 
 
-def _require_finite(**arrays):
-    for name, values in arrays.items():
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteInput(f"{name} contains NaN or inf", field=name)
-
-
 def estimate_categorical_moments(est_split, target_x, g, k):
     """Empirical (T_hat, p_hat, q_hat) from the estimation split and target covariates.
 
@@ -58,8 +52,8 @@ def estimate_categorical_moments(est_split, target_x, g, k):
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
         raise DataError("empty estimation split or target set")
-    _require_finite(source_covariates=x, labels=np.asarray(y, dtype=float),
-                    target_covariates=target_x)
+    require_finite(source_covariates=x, labels=np.asarray(y, dtype=float),
+                   target_covariates=target_x)
     y = np.asarray(y, dtype=int)
     if y.min() < 0 or y.max() >= k:
         raise ValueError(f"label index outside [0, {k})")
@@ -74,7 +68,7 @@ def estimate_categorical_moments(est_split, target_x, g, k):
     gt = np.asarray(g(target_x), dtype=float)
     if gt.ndim == 1:
         gt = gt[:, None]
-    _require_finite(source_statistic=gs, target_statistic=gt)
+    require_finite(source_statistic=gs, target_statistic=gt)
     q_hat = gt.mean(axis=0)
     return MomentEstimates(T_hat, p_hat, q_hat, n, len(target_x))
 
@@ -93,10 +87,10 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
         raise DataError("empty estimation split or target set")
-    _require_finite(source_covariates=x, labels=y, target_covariates=target_x)
+    require_finite(source_covariates=x, labels=y, target_covariates=target_x)
     u_src = np.asarray(u(x), dtype=float).reshape(-1)
     u_tgt = np.asarray(u(target_x), dtype=float).reshape(-1)
-    _require_finite(source_statistic=u_src, target_statistic=u_tgt)
+    require_finite(source_statistic=u_src, target_statistic=u_tgt)
     phi, pivots, res_y = gaussian_pivoted_cholesky(y, bandwidth)
     psi, _, res_u = gaussian_pivoted_cholesky(np.concatenate([u_src, u_tgt]),
                                               bandwidth)

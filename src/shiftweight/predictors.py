@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
+from scipy.special import logsumexp, softmax
 
-from .errors import DataError
+from .errors import DataError, IllConditioned, require_finite
 
 
 class StatisticFn:
@@ -40,6 +41,7 @@ def rbf_features(x, centers, scale):
 def feature_plan(x, n_centers=N_CENTERS):
     """Deterministic centers (data quantiles) and length scale for the feature map."""
     x = np.asarray(x, dtype=float).reshape(-1)
+    require_finite(covariates=x)
     qs = (np.arange(n_centers) + 0.5) / n_centers
     centers = np.quantile(x, qs)
     gaps = np.diff(np.sort(centers))
@@ -58,46 +60,51 @@ def _check_classes_present(y, k):
 def _safe_spd_solve(a, b):
     try:
         return cho_solve(cho_factor(a), b)
-    except LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+    except LinAlgError as exc:
+        raise IllConditioned(f"Cholesky factorization failed: {exc}") from None
 
 
 # ===================== categorical statistics =====================
 
-def fit_multinomial_logistic(feats, y, k, sample_weight=None, reg=1e-4,
-                             max_iter=500, tol=1e-8):
-    """Weighted softmax regression by Nesterov-accelerated full-batch gradient descent.
+REG = 1e-4                  # ridge on the logistic weights; the Hessian is >= REG I
+NEWTON_TOL = 1e-14          # stop once the Newton decrement is at most this
+NEWTON_MAX_STEPS = 50
 
-    The per-sample weights enter the loss as w_i * CE_i averaged over n, so an
-    all-ones weight vector runs the identical code path as unweighted training.
-    """
+
+def fit_multinomial_logistic(feats, y, k, sample_weight=None):
+    """Minimizes sum_i w_i CE_i / n + REG/2 ||W||^2 over the (p, k) softmax
+    weights W by damped Newton: each step is halved until the loss drops by a
+    quarter of the decrement g^T H^-1 g, and the fit stops once that decrement
+    is at most NEWTON_TOL.  Unit weights run the unweighted code path."""
     n, p = feats.shape
-    y = np.asarray(y, dtype=int)
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
-    # Lipschitz constant of the weighted softmax gradient
-    fw = feats * w[:, None]
-    smax = float(np.linalg.eigvalsh(feats.T @ fw / n).max())
-    step = 1.0 / (0.5 * max(smax, 1e-12) + reg)
+    onehot = np.eye(k)[np.asarray(y, dtype=int)]
+
+    def loss(W):
+        z = feats @ W
+        ce = logsumexp(z, axis=1) - (z * onehot).sum(axis=1)
+        return w @ ce / n + 0.5 * REG * np.sum(W * W)
 
     W = np.zeros((p, k))
-    V = W.copy()
-    t = 1.0
-    for _ in range(max_iter):
-        logits = feats @ V
-        logits -= logits.max(axis=1, keepdims=True)
-        ez = np.exp(logits)
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        grad = feats.T @ ((probs - onehot) * w[:, None]) / n + reg * V
-        W_next = V - step * grad
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        V = W_next + (t - 1.0) / t_next * (W_next - W)
-        if np.linalg.norm(W_next - W) < tol * max(1.0, np.linalg.norm(W)):
-            W = W_next
-            break
-        W, t = W_next, t_next
-    return W
+    for _ in range(NEWTON_MAX_STEPS):
+        probs = softmax(feats @ W, axis=1)
+        grad = feats.T @ ((probs - onehot) * w[:, None]) / n + REG * W
+        hess = np.empty((k, p, k, p))       # block (a, b) couples W[:, a], W[:, b]
+        for a in range(k):
+            for b in range(a, k):
+                d = w * probs[:, a] * (float(a == b) - probs[:, b]) / n
+                hess[a, :, b] = feats.T @ (feats * d[:, None])
+                hess[b, :, a] = hess[a, :, b].T
+        hess = hess.reshape(k * p, k * p) + REG * np.eye(k * p)
+        step = _safe_spd_solve(hess, grad.T.reshape(-1)).reshape(k, p).T
+        dec = float(np.sum(grad * step))
+        if dec <= NEWTON_TOL:
+            return W - step
+        start, t = loss(W), 1.0
+        while loss(W - t * step) > start - t * dec / 4:
+            t *= 0.5
+        W = W - t * step
+    raise IllConditioned(f"logistic fit not converged in {NEWTON_MAX_STEPS} steps")
 
 
 def logistic_fit(x, y, k, w=None):
@@ -119,13 +126,7 @@ def train_simplex(train, k):
     _check_classes_present(y, k)
     logits = logistic_fit(x, y, k)
 
-    def fn(xq):
-        z = logits(xq)
-        z -= z.max(axis=1, keepdims=True)
-        ez = np.exp(z)
-        return ez / ez.sum(axis=1, keepdims=True)
-
-    return StatisticFn("Simplex", k, fn)
+    return StatisticFn("Simplex", k, lambda xq: softmax(logits(xq), axis=1))
 
 
 def train_hypercube(train, k):
@@ -203,8 +204,11 @@ def kernel_ridge_fit(x, y, w, bandwidth, ridge):
     W = diag(w) and ybar the w-weighted mean of y; the fit is phi a + ybar on
     the sample.  Returns the predictor xq -> kernel(xq, pivots) @ coef + ybar.
     """
+    if bandwidth <= 0 or ridge <= 0:
+        raise ValueError("bandwidth and ridge must be positive")
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
+    require_finite(covariates=x, labels=y)
     ybar = float((w * y).sum() / w.sum())
     phi, pivots, _ = gaussian_pivoted_cholesky(x, bandwidth)
     phi_w = phi * w[:, None]
@@ -225,8 +229,6 @@ def train_kernel_regressor(train, bandwidth=0.9, ridge=1e-2):
 
     Centering y makes the heavy-ridge limit revert to mean(y) instead of 0.
     """
-    if bandwidth <= 0 or ridge <= 0:
-        raise ValueError("bandwidth and ridge must be positive")
     x, y = train
     if len(x) == 0:
         raise DataError("empty training set")
