@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NonFiniteInput
-from .predictors import kernel_ridge_fit, logistic_fit
+from .predictors import class_labels, kernel_ridge_fit, logistic_fit
 
 logger = logging.getLogger("shiftweight")
 
@@ -73,12 +73,11 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
     x = np.asarray(x, dtype=float)
     if len(x) == 0:
         raise DataError("empty ERM split")
-    w = _per_sample_weights(omega, y)
-
     if family == "logistic":
-        y = np.asarray(y, dtype=int)
+        y = class_labels(y, np.inf if k is None else k)
         if k is None:
             k = int(y.max()) + 1
+        w = _per_sample_weights(omega, y)
         logits = logistic_fit(x, y, k, w)
 
         def fn(xq):
@@ -87,6 +86,7 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
         model = FittedModel("logistic", fn)
         risk = float(np.mean(w * (fn(x) != y)))
     elif family == "kernel_ridge":
+        w = _per_sample_weights(omega, y)
         y = np.asarray(y, dtype=float)
         fn = kernel_ridge_fit(x, y, w, bandwidth, ridge)
         model = FittedModel("kernel_ridge", fn)

@@ -32,7 +32,8 @@ def require_finite(**arrays):
 
 class DataError(ShiftWeightError, ValueError):
     """A sample cannot support the estimate: an empty split or target set, a
-    class absent from the training data, or no positive importance weight."""
+    class label outside 0..k-1 or absent from the training data, a negative
+    sample weight, or no positive importance weight."""
 
 
 class IllConditioned(ShiftWeightError):

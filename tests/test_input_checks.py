@@ -4,8 +4,9 @@ with the package's typed errors."""
 import numpy as np
 import pytest
 
-from shiftweight import (IllConditioned, NonFiniteInput, train_hypercube,
-                         train_kernel_regressor, train_simplex, weighted_erm)
+from shiftweight import (DataError, IllConditioned, NonFiniteInput,
+                         train_hypercube, train_kernel_regressor,
+                         train_simplex, weighted_erm)
 from shiftweight.predictors import _safe_spd_solve
 
 
@@ -43,6 +44,29 @@ def test_non_finite_input_is_named(entry):
         with pytest.raises(NonFiniteInput) as exc:
             ENTRY_POINTS[entry](x, _with_nan(y))
         assert exc.value.field == "labels"
+
+
+CLASS_LABEL_ENTRY_POINTS = {
+    "train_simplex": ENTRY_POINTS["train_simplex"],
+    "train_hypercube": ENTRY_POINTS["train_hypercube"],
+    "weighted_erm_logistic": lambda x, y: weighted_erm(
+        (x, y), np.ones(3), "logistic", k=3),
+}
+
+
+@pytest.mark.parametrize("bad, error, message", (
+    (-1, DataError, "class label -1 outside 0..2"),
+    (3, DataError, "class label 3 outside 0..2"),
+    (1.5, DataError, "class label 1.5 is not an integer"),
+    (np.nan, NonFiniteInput, "labels contains NaN")))
+@pytest.mark.parametrize("entry", sorted(CLASS_LABEL_ENTRY_POINTS))
+def test_bad_class_label_is_rejected_where_it_enters(entry, bad, error,
+                                                     message):
+    """With k = 3, a label outside 0..2 is neither wrapped round to class 2
+    nor left to fail as a raw IndexError or bincount ValueError."""
+    x, y = _sample()
+    with pytest.raises(error, match=message):
+        CLASS_LABEL_ENTRY_POINTS[entry](np.append(x, 1.0), np.append(y, bad))
 
 
 @pytest.mark.parametrize("params", ({"ridge": -1.0}, {"ridge": 0.0},

@@ -1,14 +1,97 @@
 """The weighted multinomial logistic fit behind the simplex statistic and
-logistic ERM: convergence to the minimizer, and a typed failure at the cap."""
+logistic ERM: convergence to the minimizer, agreement with a dense Newton
+reference, typed failures at the cap and on bad weights."""
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp, softmax
 
-from shiftweight import (CategoricalSynthConfig, IllConditioned,
-                         gen_categorical, split_alpha, train_simplex)
+from shiftweight import (CategoricalSynthConfig, DataError, IllConditioned,
+                         NonFiniteInput, gen_categorical, split_alpha,
+                         train_simplex)
 from shiftweight import predictors
-from shiftweight.predictors import (REG, feature_plan,
+from shiftweight.predictors import (NEWTON_MAX_STEPS, NEWTON_TOL, REG,
+                                    _safe_spd_solve, feature_plan,
                                     fit_multinomial_logistic, rbf_features)
+
+
+def dense_newton_reference(feats, y, k, w):
+    """The same damped Newton fit with every Hessian block (a, b), a <= b,
+    formed directly as F^T diag(w p_a (delta_ab - p_b) / n) F, and the loss
+    and probabilities recomputed from scratch wherever they are needed."""
+    n, p = feats.shape
+    onehot = np.eye(k)[y]
+
+    def loss(W):
+        z = feats @ W
+        ce = logsumexp(z, axis=1) - (z * onehot).sum(axis=1)
+        return w @ ce / n + 0.5 * REG * np.sum(W * W)
+
+    W = np.zeros((p, k))
+    for _ in range(NEWTON_MAX_STEPS):
+        probs = softmax(feats @ W, axis=1)
+        grad = feats.T @ ((probs - onehot) * w[:, None]) / n + REG * W
+        hess = np.empty((k, p, k, p))
+        for a in range(k):
+            for b in range(a, k):
+                d = w * probs[:, a] * (float(a == b) - probs[:, b]) / n
+                hess[a, :, b] = feats.T @ (feats * d[:, None])
+                hess[b, :, a] = hess[a, :, b].T
+        hess = hess.reshape(k * p, k * p) + REG * np.eye(k * p)
+        step = _safe_spd_solve(hess, grad.T.reshape(-1)).reshape(k, p).T
+        dec = float(np.sum(grad * step))
+        if dec <= NEWTON_TOL:
+            return W - step
+        start, t = loss(W), 1.0
+        while loss(W - t * step) > start - t * dec / 4:
+            t *= 0.5
+        W = W - t * step
+    raise IllConditioned("reference fit not converged")
+
+
+def _assert_matches_reference(feats, y, k, w, feats_q):
+    W = fit_multinomial_logistic(feats, y, k, sample_weight=w)
+    W_ref = dense_newton_reference(feats, y, k, w)
+    assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+    np.testing.assert_array_equal(np.argmax(feats_q @ W, axis=1),
+                                  np.argmax(feats_q @ W_ref, axis=1))
+
+
+@pytest.mark.parametrize("weighting", ("unit", "per_class", "one_class_zero"))
+@pytest.mark.parametrize("k", (2, 4, 6))
+def test_fit_matches_the_dense_reference(k, weighting):
+    ds = gen_categorical(CategoricalSynthConfig(k, 0.5, 700 + k), 1500, 1500)
+    x, y = ds.source_x, ds.source_y
+    centers, scale = feature_plan(x)
+    w = {"unit": np.ones(k),
+         "per_class": np.linspace(0.5, 2.0, k),
+         "one_class_zero": np.r_[np.ones(k - 1), 0.0]}[weighting][y]
+    _assert_matches_reference(rbf_features(x, centers, scale), y, k, w,
+                              rbf_features(ds.target_x, centers, scale))
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("seed", (101000, 101001, 101002))
+def test_benchmark_erm_fits_match_the_dense_reference(seed, weighted):
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, seed), 8000, 8000)
+    sp = split_alpha(ds, 0.5, seed=seed)
+    x, y = sp.erm_x, sp.erm_y
+    centers, scale = feature_plan(x)
+    w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
+    _assert_matches_reference(rbf_features(x, centers, scale), y, 4, w,
+                              rbf_features(ds.target_x, centers, scale))
+
+
+@pytest.mark.parametrize("bad, error", ((-0.5, DataError),
+                                        (np.nan, NonFiniteInput)))
+def test_bad_sample_weight_is_typed(bad, error):
+    x = np.linspace(0.0, 3.0, 60)
+    y = np.repeat(np.arange(3), 20)
+    w = np.ones(60)
+    w[7] = bad
+    with pytest.raises(error):
+        fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 3,
+                                 sample_weight=w)
 
 
 @pytest.mark.parametrize("weighted", (False, True))
