@@ -46,6 +46,9 @@ def _per_sample_weights(omega, y):
         w = np.asarray(omega(y), dtype=float)
     else:
         w = np.asarray(omega, dtype=float)[np.asarray(y, dtype=int)]
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteInput("importance weights contain NaN or inf",
+                             field="importance_weights")
     neg = w < 0
     if np.any(neg):
         # negative estimates make the surrogate unbounded below; the stored
@@ -53,9 +56,6 @@ def _per_sample_weights(omega, y):
         logger.warning("clamped %d negative importance weights to 0 for ERM",
                        int(neg.sum()))
         w = np.where(neg, 0.0, w)
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteInput("importance weights contain NaN or inf",
-                             field="importance_weights")
     if w.max() == 0.0:
         raise DataError("all importance weights are zero")
     return w
@@ -77,6 +77,8 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
         y = class_labels(y, np.inf if k is None else k)
         if k is None:
             k = int(y.max()) + 1
+        if not callable(omega) and np.shape(omega) != (k,):
+            raise DataError(f"omega has shape {np.shape(omega)}, expected ({k},)")
         w = _per_sample_weights(omega, y)
         logits = logistic_fit(x, y, k, w)
 

@@ -4,8 +4,9 @@ The unknown is theta(y) = sum_j beta_j kernel(y_j, y) over the estimation-
 split source labels (the anchors).  With the Gram factors of KernelMoments,
 theta has factor coordinates a = phi^T beta, ||theta||_H = ||a||, and the
 moment residual is ||B a - b|| with B = psi_s^T phi / N and
-b = mean(psi_t) - mean(psi_s), so every solve is r x r.  Estimates keep their
-coefficients on the pivot anchors, beta_P = phi[pivots]^-T a.
+b = mean(psi_t) - mean(psi_s), built once as KernelMoments.B and .b, so every
+solve is r x r.  Estimates keep their coefficients on the pivot anchors,
+beta_P = phi[pivots]^-T a.
 """
 
 import math
@@ -31,16 +32,6 @@ class FunctionalWeightEstimate:
     diagnostics: dict
 
 
-def _reduced_system(km):
-    # G_uu, the G_ut row sums and G_tt.sum() all act through psi: the squared
-    # residual of theta with factor coordinates a is ||B a - b||^2
-    N = km.n_est
-    psi_s, psi_t = km.psi[:N], km.psi[N:]
-    B = psi_s.T @ km.phi / N
-    b = psi_t.mean(axis=0) - psi_s.mean(axis=0)
-    return B, b
-
-
 def _rkhs_norm_sq(anchors, beta, bandwidth):
     return float(beta @ gaussian_gram(anchors, anchors, bandwidth) @ beta)
 
@@ -48,9 +39,8 @@ def _rkhs_norm_sq(anchors, beta, bandwidth):
 def residual_norm_sq(km, beta):
     """||T_hat theta - q_hat + p_hat||^2 in the RKHS for theta with
     coefficients beta over the pivot anchors (the estimates' representation)."""
-    B, b = _reduced_system(km)
     a = km.phi[km.pivots].T @ np.asarray(beta, dtype=float)   # factor coordinates
-    r = B @ a - b
+    r = km.B @ a - km.b
     return float(r @ r)
 
 
@@ -79,7 +69,7 @@ def e4_regularized(km, lam):
     (B^T B + lam I) a = B^T b in factor coordinates."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    B, b = _reduced_system(km)
+    B, b = km.B, km.b
     M = B.T @ B + lam * np.eye(B.shape[1])
     trace = float(np.trace(M))
     a = None
@@ -106,9 +96,8 @@ def e3_direct(km):
 
     With phi = QR, the operator S = phi B^T B phi^T has the nonzero spectrum
     of the r x r core R B^T B R^T, which is decomposed instead."""
-    B, b = _reduced_system(km)
     R = np.linalg.qr(km.phi, mode="r")
-    BR = B @ R.T
+    BR = km.B @ R.T
     w, V = eigh(BR.T @ BR)
     wmax = float(w[-1]) if len(w) else 0.0
     keep = w > EIG_TOL * max(wmax, 0.0)
@@ -116,7 +105,7 @@ def e3_direct(km):
         raise SingularOperator("operator spectrum entirely below threshold",
                                spectrum=w)
     Vk = V[:, keep]
-    a = R.T @ (Vk @ ((Vk.T @ (BR.T @ b)) / w[keep]))
+    a = R.T @ (Vk @ ((Vk.T @ (BR.T @ km.b)) / w[keep]))
     diag = {
         "condition_number": wmax / float(w[keep].min()),
         "spectrum_max": wmax,
@@ -152,8 +141,7 @@ def operator_inverse_norm_proxy(km):
     1 / sigma_min over the singular values of B with sigma^2 > EIG_TOL *
     sigma_max^2 (the cutoff of e3_direct), and inf when none is positive.
     """
-    B, _ = _reduced_system(km)
-    s = np.linalg.svd(B, compute_uv=False)
+    s = np.linalg.svd(km.B, compute_uv=False)
     smax = float(s[0]) if len(s) else 0.0
     kept = s[s * s > EIG_TOL * smax * smax]
     if smax <= 0 or len(kept) == 0:

@@ -26,7 +26,8 @@ class KernelMoments:
     kernel(y_i, y_j) ~ phi @ phi.T over the anchors, and the kernel over the
     u-images [u_src, u_tgt] ~ psi @ psi.T; every entry of either remainder is
     at most factor_residual.  The points are kept so that the exact blocks
-    can be rebuilt.
+    can be rebuilt.  B and b are the reduced system every estimator solves
+    in: theta with factor coordinates a has moment residual ||B a - b||.
     """
     anchors: np.ndarray     # the estimation-split source labels y_i, (N,)
     u_src: np.ndarray       # u(x_i) over the estimation split, (N,)
@@ -34,6 +35,8 @@ class KernelMoments:
     phi: np.ndarray         # anchor Gram factor, (N, r)
     pivots: np.ndarray      # anchor indices of phi's pivots; phi[pivots] is lower triangular
     psi: np.ndarray         # u-image Gram factor, source rows then target rows, (N + m, s)
+    B: np.ndarray           # psi_s^T phi / N over the source rows psi_s, (s, r)
+    b: np.ndarray           # mean(psi_t) - mean(psi_s), (s,)
     factor_residual: float  # largest residual diagonal of the two factors
     kappa_bar: float
     bandwidth: float
@@ -94,6 +97,9 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     phi, pivots, res_y = gaussian_pivoted_cholesky(y, bandwidth)
     psi, _, res_u = gaussian_pivoted_cholesky(np.concatenate([u_src, u_tgt]),
                                               bandwidth)
+    # G_uu, the G_ut row sums and G_tt.sum() all act through psi
+    N = len(x)
+    psi_s, psi_t = psi[:N], psi[N:]
     return KernelMoments(
         anchors=y,
         u_src=u_src,
@@ -101,10 +107,12 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
         phi=phi,
         pivots=pivots,
         psi=psi,
+        B=psi_s.T @ phi / N,
+        b=psi_t.mean(axis=0) - psi_s.mean(axis=0),
         factor_residual=max(res_y, res_u),
         kappa_bar=1.0,
         bandwidth=bandwidth,
-        n_est=len(x),
+        n_est=N,
         m=len(target_x),
     )
 

@@ -30,12 +30,25 @@ class StatisticFn:
 N_CENTERS = 32
 
 
+def _gaussian_block(a, b, bandwidth, out):
+    """Writes kernel(a_i, b_j) = exp(-(a_i - b_j)^2 / (2 bandwidth^2)) into
+    out, shape (len(a), len(b)), in place: subtract, square, negate, divide,
+    exp, the rounding of the expression np.exp(-(a - b) ** 2 / (2 h^2))."""
+    np.subtract(a[:, None], b[None, :], out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= 2.0 * bandwidth * bandwidth
+    np.exp(out, out=out)
+    return out
+
+
 def rbf_features(x, centers, scale):
     # Gaussian bumps at fixed centers plus a constant column
     x = np.asarray(x, dtype=float).reshape(-1)
-    d2 = (x[:, None] - centers[None, :]) ** 2
-    f = np.exp(-d2 / (2.0 * scale * scale))
-    return np.concatenate([f, np.ones((len(x), 1))], axis=1)
+    feats = np.empty((len(x), len(centers) + 1))
+    _gaussian_block(x, centers, scale, feats[:, :-1])
+    feats[:, -1] = 1.0
+    return feats
 
 
 def feature_plan(x, n_centers=N_CENTERS):
@@ -185,11 +198,26 @@ def train_hypercube(train, k):
 def gaussian_gram(a, b, bandwidth):
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
-    d2 = (a[:, None] - b[None, :]) ** 2
-    return np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+    return _gaussian_block(a, b, bandwidth, np.empty((len(a), len(b))))
 
 
 FACTOR_TOL = 1e-14          # largest residual diagonal the Gram factor leaves
+
+
+def _distinct(x):
+    """np.unique(x, return_index=True, return_inverse=True) from one unstable
+    argsort: the distinct values in ascending order, the index of each one's
+    first occurrence, and the position in the values of every point."""
+    order = np.argsort(x)
+    xs = x[order]
+    new = np.empty(len(x), dtype=bool)      # True where a run of equal values starts
+    new[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    inv = np.empty(len(x), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return x[first], first, inv     # a run of 0.0 and -0.0 keeps its first zero's sign
 
 
 def gaussian_pivoted_cholesky(points, bandwidth):
@@ -203,24 +231,36 @@ def gaussian_pivoted_cholesky(points, bandwidth):
     reproduces the pivot columns of the Gram matrix.
     """
     x = np.asarray(points, dtype=float).reshape(-1)
-    vals, first, inv = np.unique(x, return_index=True, return_inverse=True)
-    diag = np.ones(len(vals))       # the Gaussian kernel is 1 on the diagonal
-    cols, piv = [], []
-    while len(piv) < len(vals):
+    require_finite(points=x)
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
+    vals, first, inv = _distinct(x)
+    nv = len(vals)
+    diag = np.ones(nv)              # the Gaussian kernel is 1 on the diagonal
+    cols = np.empty((nv, min(nv, 32)), order="F")   # factor columns; widened when full
+    scratch = np.empty(nv)
+    piv = []
+    while len(piv) < nv:
         p = int(np.argmax(diag))
         if diag[p] <= FACTOR_TOL:
             break
-        col = gaussian_gram(vals, vals[p], bandwidth)[:, 0]
-        for c in cols:
-            col -= c[p] * c
+        j = len(piv)
+        if j == cols.shape[1]:
+            wider = np.empty((nv, min(2 * j, nv)), order="F")
+            wider[:, :j] = cols
+            cols = wider
+        col = _gaussian_block(vals, vals[p:p + 1], bandwidth, cols[:, j:j + 1])[:, 0]
+        for i in range(j):
+            np.multiply(cols[p, i], cols[:, i], out=scratch)
+            col -= scratch
         col /= math.sqrt(diag[p])
         col[piv] = 0.0              # earlier pivots are already interpolated
-        cols.append(col)
         piv.append(p)
-        diag -= col * col
+        np.multiply(col, col, out=scratch)
+        diag -= scratch
         diag[p] = 0.0
-    phi = np.stack(cols, axis=1) if cols else np.zeros((len(vals), 0))
-    return phi[inv.reshape(-1)], first[piv], float(diag.max(initial=0.0))
+    phi = cols[:, :len(piv)]
+    return phi[inv], first[piv], float(diag.max(initial=0.0))
 
 
 def pivot_coefficients(phi, pivots, a):

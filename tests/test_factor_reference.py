@@ -4,6 +4,10 @@ The library builds no dense n x n or n x m kernel block.  The dense algebra
 lives here as the reference, assembled from the points the kernel moments
 store: the same anchors, u-images and bandwidth.  The statistic u is checked
 against dense kernel ridge regression on its training split.
+
+The Gaussian blocks and the pivoted Cholesky factor are also checked bit for
+bit against their straightforward forms (np.unique, one temporary per step,
+np.stack), which the in-place library versions must reproduce exactly.
 """
 
 import functools
@@ -23,7 +27,8 @@ from shiftweight import (RegressionSynthConfig, e3_direct, e4_regularized,
                          theta_function, train_kernel_regressor, weighted_erm)
 from shiftweight.functional import EIG_TOL
 from shiftweight.predictors import (FACTOR_TOL, _safe_spd_solve,
-                                    gaussian_gram, gaussian_pivoted_cholesky)
+                                    feature_plan, gaussian_gram,
+                                    gaussian_pivoted_cholesky, rbf_features)
 
 GRID = np.linspace(0.0, 1.0, 100)
 CASES = [(n, seed) for n in (500, 2000) for seed in range(3)]
@@ -181,3 +186,102 @@ def test_factor_residual_bounds_every_entry(points, bandwidth):
     assert 0.0 <= residual <= FACTOR_TOL
     assert len(set(points[pivots].tolist())) == r      # distinct pivot points
     np.testing.assert_array_equal(np.triu(phi[pivots], 1), 0.0)
+
+
+# ===================== bit-for-bit references =====================
+
+def _reference_gram(a, b, bandwidth):
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    d2 = (a[:, None] - b[None, :]) ** 2
+    return np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+
+
+def _reference_rbf_features(x, centers, scale):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    d2 = (x[:, None] - centers[None, :]) ** 2
+    f = np.exp(-d2 / (2.0 * scale * scale))
+    return np.concatenate([f, np.ones((len(x), 1))], axis=1)
+
+
+def _reference_factor(points, bandwidth):
+    x = np.asarray(points, dtype=float).reshape(-1)
+    vals, first, inv = np.unique(x, return_index=True, return_inverse=True)
+    diag = np.ones(len(vals))
+    cols, piv = [], []
+    while len(piv) < len(vals):
+        p = int(np.argmax(diag))
+        if diag[p] <= FACTOR_TOL:
+            break
+        col = _reference_gram(vals, vals[p], bandwidth)[:, 0]
+        for c in cols:
+            col -= c[p] * c
+        col /= math.sqrt(diag[p])
+        col[piv] = 0.0
+        cols.append(col)
+        piv.append(p)
+        diag -= col * col
+        diag[p] = 0.0
+    phi = np.stack(cols, axis=1) if cols else np.zeros((len(vals), 0))
+    return phi[inv.reshape(-1)], first[piv], float(diag.max(initial=0.0))
+
+
+def _assert_same_bits(got, want):
+    """Equal shape, dtype, memory order and bits: 0.0 and -0.0 differ here."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags["C_CONTIGUOUS"] == want.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _assert_same_factor(points, bandwidth):
+    phi, pivots, residual = gaussian_pivoted_cholesky(points, bandwidth)
+    ref_phi, ref_pivots, ref_residual = _reference_factor(points, bandwidth)
+    _assert_same_bits(phi, ref_phi)
+    _assert_same_bits(pivots, ref_pivots)
+    assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
+
+
+# few distinct values, signed zeros among them, so most draws repeat points
+_POINTS = arrays(np.float64, st.integers(1, 60),
+                 elements=st.one_of(st.sampled_from([0.0, -0.0, 0.25, -1.5]),
+                                    st.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_POINTS, bandwidth=st.floats(0.01, 10.0))
+def test_factor_matches_reference_bit_for_bit(points, bandwidth):
+    _assert_same_factor(points, bandwidth)
+
+
+@pytest.mark.parametrize("points", ([0.7], [-0.0], [0.0, -0.0, 0.0],
+                                    [-0.0, 0.0, 1.0, -0.0]))
+def test_factor_of_single_and_signed_zero_points(points):
+    _assert_same_factor(np.array(points), 0.5)
+
+
+def test_factor_matches_reference_at_benchmark_size():
+    """12000 points with about 4000 distinct values, the size of a
+    kernel_dense cell's u-images; at bandwidth 0.2 the rank passes 64, so the
+    column buffer is widened twice.  Then the u-images of a real cell."""
+    points = np.round(np.random.default_rng(3).standard_normal(12000), 3)
+    for bandwidth in (0.9, 0.2):
+        _assert_same_factor(points, bandwidth)
+    assert gaussian_pivoted_cholesky(points, 0.2)[0].shape[1] > 64
+    _, _, km, _ = _case(2000, 0)
+    _assert_same_factor(np.concatenate([km.u_src, km.u_tgt]), km.bandwidth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_POINTS, b=_POINTS, bandwidth=st.floats(0.01, 10.0))
+def test_gram_matches_reference_bit_for_bit(a, b, bandwidth):
+    _assert_same_bits(gaussian_gram(a, b, bandwidth),
+                      _reference_gram(a, b, bandwidth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_POINTS, n_centers=st.integers(1, 40))
+def test_rbf_features_match_reference_bit_for_bit(x, n_centers):
+    centers, scale = feature_plan(x, n_centers)
+    _assert_same_bits(rbf_features(x, centers, scale),
+                      _reference_rbf_features(x, centers, scale))

@@ -170,10 +170,12 @@ def test_e4_rejects_negative_lambda():
 
 
 def test_e4_ill_conditioned_system_raises():
-    """A factor whose Gram matrix overflows defeats both jitter levels."""
+    """A reduced system whose normal matrix overflows defeats both jitter
+    levels: B and b as built from a u-image factor scaled by 1e200."""
     ys = np.array([0.0, 1.0, 2.0])
     km = _km_from_points(ys, ys, np.array([0.5, 1.5]))
-    km.psi = 1e200 * km.psi
+    km.B = 1e200 * km.B
+    km.b = 1e200 * km.b
     with pytest.raises(IllConditioned):
         e4_regularized(km, 0.0)
 
@@ -200,7 +202,7 @@ def test_e3_truncates_and_reports_condition_number():
 
 def test_e3_degenerate_spectrum_raises():
     km = _km_from_points([0.0, 0.0], [0.0, 0.0], [0.0])
-    km.psi[:km.n_est] = 0.0         # G_uu = 0: the operator vanishes
+    km.B[:] = 0.0                   # G_uu = 0: the operator vanishes
     with pytest.raises(SingularOperator):
         e3_direct(km)
 

@@ -7,7 +7,7 @@ import pytest
 from shiftweight import (DataError, IllConditioned, NonFiniteInput,
                          train_hypercube, train_kernel_regressor,
                          train_simplex, weighted_erm)
-from shiftweight.predictors import _safe_spd_solve
+from shiftweight.predictors import _safe_spd_solve, gaussian_pivoted_cholesky
 
 
 def _sample():
@@ -81,3 +81,43 @@ def test_kernel_ridge_erm_rejects_nonpositive_hyperparameters(params):
 def test_failed_cholesky_is_typed_not_patched_by_least_squares():
     with pytest.raises(IllConditioned):
         _safe_spd_solve(-np.eye(3), np.ones(3))
+
+
+@pytest.mark.parametrize("k, omega, extra_label", ((2, np.ones(1), None),
+                                                   (2, np.ones(5), None),
+                                                   (None, np.ones(3), 3)))
+def test_logistic_erm_rejects_omega_of_the_wrong_length(k, omega, extra_label):
+    """A class-indexed omega has one weight per class: a short one is not left
+    to fail as a raw IndexError, nor a long one cut silently.  With k = None,
+    k is inferred from the labels (here 4, from the label 3)."""
+    x, y = _sample()
+    if k == 2:
+        y = y % 2
+    if extra_label is not None:
+        x, y = np.append(x, 3.0), np.append(y, extra_label)
+    with pytest.raises(DataError, match="omega has shape"):
+        weighted_erm((x, y), omega, "logistic", k=k)
+
+
+@pytest.mark.parametrize("family, omega", (
+    ("logistic", np.array([1.0, -np.inf, 1.0])),
+    ("kernel_ridge", lambda ys: np.where(ys > 1.5, -np.inf, 1.0))))
+def test_minus_inf_importance_weight_is_not_clamped(family, omega):
+    """-inf is non-finite, not a negative weight to floor at 0."""
+    x, y = _sample()
+    with pytest.raises(NonFiniteInput) as exc:
+        weighted_erm((x, y), omega, family)
+    assert exc.value.field == "importance_weights"
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_factor_rejects_non_finite_points(bad):
+    with pytest.raises(NonFiniteInput) as exc:
+        gaussian_pivoted_cholesky(np.array([0.0, bad, 1.0]), 0.5)
+    assert exc.value.field == "points"
+
+
+@pytest.mark.parametrize("bandwidth", (0.0, -0.5, np.nan))
+def test_factor_rejects_nonpositive_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        gaussian_pivoted_cholesky(np.array([0.0, 1.0]), bandwidth)
