@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import SingularOperator, require_finite
 
@@ -97,6 +96,8 @@ def _objective(T, b, delta_T, theta):
 
 def e2_regularized(mom, delta_T, theta_cap=10.0):
     """Regularized estimate; delta_T is the operator confidence radius weight."""
+    from scipy.optimize import brentq    # imported on first use: scipy loads slowly
+
     if delta_T < 0:
         raise ValueError("delta_T must be nonnegative")
     if theta_cap <= 0:

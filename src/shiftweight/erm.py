@@ -65,8 +65,8 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
                  bandwidth=0.9, ridge=1e-2):
     """Minimize the weighted surrogate over the chosen family.
 
-    omega is either a length-k weight vector indexed by class label or a
-    callable evaluated at the (continuous) labels.  gamma = 0 weights are all
+    omega is a callable evaluated at the labels or, for logistic only, a
+    length-k weight vector indexed by class label.  gamma = 0 weights are all
     ones and run the identical code path as unweighted training.
     """
     x, y = erm_split
@@ -80,14 +80,17 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
         if not callable(omega) and np.shape(omega) != (k,):
             raise DataError(f"omega has shape {np.shape(omega)}, expected ({k},)")
         w = _per_sample_weights(omega, y)
-        logits = logistic_fit(x, y, k, w)
+        logits, train_logits = logistic_fit(x, y, k, w)
 
         def fn(xq):
             return np.argmax(logits(xq), axis=1)
 
         model = FittedModel("logistic", fn)
-        risk = float(np.mean(w * (fn(x) != y)))
+        risk = float(np.mean(w * (np.argmax(train_logits, axis=1) != y)))
     elif family == "kernel_ridge":
+        if not callable(omega):
+            raise DataError("kernel_ridge needs omega as a function of the "
+                            "real labels, not a vector indexed by class")
         w = _per_sample_weights(omega, y)
         y = np.asarray(y, dtype=float)
         fn = kernel_ridge_fit(x, y, w, bandwidth, ridge)

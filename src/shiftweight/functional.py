@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import IllConditioned, SingularOperator
-from .predictors import gaussian_gram, pivot_coefficients
+from .predictors import _safe_spd_solve, gaussian_gram, pivot_coefficients
 
 EIG_TOL = 1e-10             # relative spectral cutoff for the direct inverse
 
@@ -76,12 +75,10 @@ def e4_regularized(km, lam):
     jitter_used = None
     for jitter in (1e-12, 1e-8 * max(trace, 1.0)):
         try:
-            c, low = cho_factor(M + jitter * np.eye(len(M)), lower=True,
-                                check_finite=False)
-            a = cho_solve((c, low), B.T @ b, check_finite=False)
+            a = _safe_spd_solve(M + jitter * np.eye(len(M)), B.T @ b)
             jitter_used = jitter
             break
-        except LinAlgError:
+        except IllConditioned:
             continue
     if a is None or not np.all(np.isfinite(a)):
         raise IllConditioned("normal equations unsolvable after jitter escalation")
@@ -98,7 +95,7 @@ def e3_direct(km):
     of the r x r core R B^T B R^T, which is decomposed instead."""
     R = np.linalg.qr(km.phi, mode="r")
     BR = km.B @ R.T
-    w, V = eigh(BR.T @ BR)
+    w, V = np.linalg.eigh(BR.T @ BR)
     wmax = float(w[-1]) if len(w) else 0.0
     keep = w > EIG_TOL * max(wmax, 0.0)
     if wmax <= 0 or not np.any(keep):

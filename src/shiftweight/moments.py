@@ -3,11 +3,10 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .datagen import class_centers, label_masses
 from .errors import DataError, require_finite
-from .predictors import gaussian_pivoted_cholesky
+from .predictors import class_labels, gaussian_pivoted_cholesky
 
 
 @dataclass
@@ -55,17 +54,14 @@ def estimate_categorical_moments(est_split, target_x, g, k):
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
         raise DataError("empty estimation split or target set")
-    require_finite(source_covariates=x, labels=np.asarray(y, dtype=float),
-                   target_covariates=target_x)
-    y = np.asarray(y, dtype=int)
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError(f"label index outside [0, {k})")
+    require_finite(source_covariates=x, target_covariates=target_x)
+    y = class_labels(y, k)
     gs = np.asarray(g(x), dtype=float)
     if gs.ndim == 1:
         gs = gs[:, None]
     n = len(x)
-    T_hat = np.zeros((gs.shape[1], k))
-    np.add.at(T_hat.T, y, gs)          # column j accumulates g over class-j samples
+    # column j accumulates g over class-j samples
+    T_hat = np.array([np.bincount(y, weights=col, minlength=k) for col in gs.T])
     T_hat /= n
     p_hat = T_hat.sum(axis=1)          # same empirical average as mean g, row-summed
     gt = np.asarray(g(target_x), dtype=float)
@@ -125,6 +121,8 @@ def population_moments_categorical(cfg):
     the midpoint decision boundaries, so the returned triple is the exact
     (T_g, p_g, q_g) of that statistic.  Sample counts are 0: nothing was drawn.
     """
+    from scipy.special import ndtr       # imported on first use: scipy loads slowly
+
     p, q = label_masses(cfg)
     centers = class_centers(cfg)
     k = cfg.num_classes

@@ -7,8 +7,6 @@ deterministic: fixed feature construction, zero initialization, full-batch steps
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError, solve_triangular
-from scipy.special import softmax
 
 from .errors import DataError, IllConditioned, require_finite
 
@@ -85,10 +83,16 @@ def _check_classes_present(y, k):
 
 
 def _safe_spd_solve(a, b):
+    """Solves a x = b for a symmetric positive definite.  A non-finite a or b,
+    or an a that is not numerically positive definite (its Cholesky
+    factorization fails), raises IllConditioned."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise IllConditioned("matrix or right-hand side contains NaN or inf")
     try:
-        return cho_solve(cho_factor(a), b)
-    except LinAlgError as exc:
+        np.linalg.cholesky(a)       # the positive-definiteness check
+    except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"Cholesky factorization failed: {exc}") from None
+    return np.linalg.solve(a, b)
 
 
 # ===================== categorical statistics =====================
@@ -155,24 +159,31 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None):
 
 def logistic_fit(x, y, k, w=None):
     """Weighted multinomial logistic regression on the RBF features of x;
-    returns the logits function xq -> (len(xq), k).  w = None: unit weights."""
+    returns the logits function xq -> (len(xq), k) and the logits at x, the
+    values that function gives at x.  w = None: unit weights."""
     centers, scale = feature_plan(x)
-    W = fit_multinomial_logistic(rbf_features(x, centers, scale), y, k,
-                                 sample_weight=w)
+    feats = rbf_features(x, centers, scale)
+    W = fit_multinomial_logistic(feats, y, k, sample_weight=w)
 
     def logits(xq):
         return rbf_features(xq, centers, scale) @ W
 
-    return logits
+    return logits, feats @ W
 
 
 def train_simplex(train, k):
     """Multinomial logistic statistic; outputs on the probability simplex."""
     x, y = train
     _check_classes_present(y, k)
-    logits = logistic_fit(x, y, k)
+    logits, _ = logistic_fit(x, y, k)
 
-    return StatisticFn("Simplex", k, lambda xq: softmax(logits(xq), axis=1))
+    def probs(xq):
+        # softmax by max-shift, exp and normalize
+        z = logits(xq)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    return StatisticFn("Simplex", k, probs)
 
 
 def train_hypercube(train, k):
@@ -266,7 +277,9 @@ def gaussian_pivoted_cholesky(points, bandwidth):
 def pivot_coefficients(phi, pivots, a):
     """Coefficients over the pivot points of the function with factor
     coordinates a, i.e. sum_j c_j kernel(x_{pivots[j]}, .) = phi(.) @ a."""
-    return solve_triangular(phi[pivots], a, lower=True, trans="T")
+    # phi[pivots].T is upper triangular, so its LU factorization exchanges no
+    # rows and the solve is back substitution
+    return np.linalg.solve(phi[pivots].T, a)
 
 
 def kernel_ridge_fit(x, y, w, bandwidth, ridge):

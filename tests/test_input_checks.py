@@ -69,6 +69,15 @@ def test_bad_class_label_is_rejected_where_it_enters(entry, bad, error,
         CLASS_LABEL_ENTRY_POINTS[entry](np.append(x, 1.0), np.append(y, bad))
 
 
+def test_kernel_ridge_erm_rejects_a_class_indexed_omega():
+    """A weight vector has no meaning for real labels: it is not indexed by
+    the labels cast to int."""
+    x = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(DataError, match="omega as a function of the real labels"):
+        weighted_erm((x, np.sin(3 * x) - 0.5), np.array([1.0, 2.0, 3.0]),
+                     "kernel_ridge")
+
+
 @pytest.mark.parametrize("params", ({"ridge": -1.0}, {"ridge": 0.0},
                                     {"bandwidth": -0.5}, {"bandwidth": 0.0}))
 def test_kernel_ridge_erm_rejects_nonpositive_hyperparameters(params):
@@ -81,6 +90,25 @@ def test_kernel_ridge_erm_rejects_nonpositive_hyperparameters(params):
 def test_failed_cholesky_is_typed_not_patched_by_least_squares():
     with pytest.raises(IllConditioned):
         _safe_spd_solve(-np.eye(3), np.ones(3))
+
+
+def _poisoned(values, index, bad):
+    values = np.array(values, dtype=float)
+    values[index] = bad
+    return values
+
+
+NON_FINITE_SYSTEMS = [system for bad in (np.nan, np.inf) for system in (
+    (_poisoned(np.eye(3), (1, 1), bad), np.ones(3)),
+    # above the diagonal, which a Cholesky factorization does not read
+    (_poisoned(np.eye(3), (0, 2), bad), np.ones(3)),
+    (np.eye(3), _poisoned(np.ones(3), 1, bad)))]
+
+
+@pytest.mark.parametrize("a, b", NON_FINITE_SYSTEMS)
+def test_non_finite_solve_is_typed_not_returned_as_nan(a, b):
+    with pytest.raises(IllConditioned, match="NaN or inf"):
+        _safe_spd_solve(a, b)
 
 
 @pytest.mark.parametrize("k, omega, extra_label", ((2, np.ones(1), None),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shiftweight import (CategoricalSynthConfig, NonFiniteInput,
+from shiftweight import (CategoricalSynthConfig, DataError, NonFiniteInput,
                          ShiftWeightError, e1_direct,
                          estimate_categorical_moments,
                          estimate_kernel_moments, gen_categorical,
@@ -104,6 +104,17 @@ def test_empty_split_rejected():
 def test_label_out_of_range_rejected():
     with pytest.raises(ValueError):
         estimate_categorical_moments((np.zeros(2), np.array([0, 5])),
+                                     np.zeros(2), _identity_stat(2), 2)
+
+
+@pytest.mark.parametrize("bad, message", ((1.5, "class label 1.5 is not an integer"),
+                                          (2, "class label 2 outside 0..1"),
+                                          (-1, "class label -1 outside 0..1")))
+def test_categorical_moments_reject_bad_class_labels(bad, message):
+    """A label of 1.5 is not counted as class 1, and one outside 0..k-1 is
+    not left to fail as a raw ValueError."""
+    with pytest.raises(DataError, match=message):
+        estimate_categorical_moments((np.zeros(3), np.array([0.0, 1.0, bad])),
                                      np.zeros(2), _identity_stat(2), 2)
 
 
