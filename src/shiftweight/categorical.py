@@ -9,7 +9,6 @@ from .errors import SingularOperator, require_finite
 
 RANK_TOL = 1e-12            # relative singular value cutoff
 EPS = np.finfo(float).eps   # unit roundoff
-BRACKET_STEP = 0.1          # factor by which the lower end of the E2 bracket steps down
 
 
 @dataclass
@@ -88,6 +87,12 @@ def check_burn_in_categorical(mom, d, k, alpha, n, delta):
 #            equation psi(t) = delta_T ||r(t)|| / ||theta(t)|| - t = 0.
 # psi is evaluated in the SVD basis, where neither norm cancels (cf. the
 # trust-region secular equation of More & Sorensen 1983).
+#
+# psi changes sign at most once on t > 0, so bisection finds its root.  psi(t)
+# has the sign of delta_T^2 - F(t) with F(t) = t^2 ||theta(t)||^2 / ||r(t)||^2.
+# F is a weighted mean of the s_i^2, with weights c_i^2 / (s_i^2 + t)^2 plus
+# out_sq / t^2 on the value 0 (out is the part of b outside the range of U).
+# As t grows the weights shift toward the larger s_i, so F rises with t.
 
 
 def _objective(T, b, delta_T, theta):
@@ -96,8 +101,6 @@ def _objective(T, b, delta_T, theta):
 
 def e2_regularized(mom, delta_T, theta_cap=10.0):
     """Regularized estimate; delta_T is the operator confidence radius weight."""
-    from scipy.optimize import brentq    # imported on first use: scipy loads slowly
-
     if delta_T < 0:
         raise ValueError("delta_T must be nonnegative")
     if theta_cap <= 0:
@@ -140,18 +143,26 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
         hi = 2.0 * rho * smax * smax / (1.0 - rho)
         # Below EPS s_kept_min^2, theta(t) equals theta0 to working precision.
         floor = EPS * float(s[rank_mask][-1]) ** 2
-        lo = hi                     # the first probe checks the bound at hi
-        while lo >= floor and psi(lo) < 0.0:
-            hi, lo = lo, lo * BRACKET_STEP
-        if lo < floor:
+        if hi < floor:
             theta, how = theta0, "kink-shortcut"
-        elif lo == hi:
+        elif psi(hi) >= 0.0:
             # psi(hi) >= 0 breaks the bound only through rounding, which
             # outweighs its margin once rho is 1 to working precision; theta(hi)
             # is then zero to working precision
             theta, how = np.zeros(T.shape[1]), "zero-shortcut"
+        elif psi(floor) < 0.0:
+            theta, how = theta0, "kink-shortcut"
         else:
-            t = brentq(psi, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * EPS)
+            # halve [floor, hi] in the order of the doubles, which for positive
+            # doubles is the order of their bit patterns, until the ends touch
+            lo, hi = np.array([floor, hi]).view(np.int64).tolist()
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if psi(float(np.int64(mid).view(np.float64))) < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            t = float(np.int64(hi).view(np.float64))
             w = 1.0 / (s * s + t)
             theta, how = Vt.T @ (s * w * c), "secular-root"
             # r(t) in the SVD basis: T theta - b cancels as the root nears the kink
@@ -159,22 +170,16 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
             kkt = float(np.linalg.norm(T.T @ r / np.linalg.norm(r)
                                        + delta_T * theta / np.linalg.norm(theta)))
 
-    J_final = _objective(T, b, delta_T, theta)
-    # accepted candidates in order; a solve that searched started from theta = 0,
-    # whose objective is ||b||
-    trace = [J_final] if evals == 0 else [nb, J_final]
     norm_theta = float(np.linalg.norm(theta))
     diag = {
         "sigma_min": float(s[-1]),
         "sigma_max": smax,
-        "objective": J_final,
-        "objective_trace": trace,
+        "objective": _objective(T, b, delta_T, theta),
         "iterations": evals,
         "solution_path": how,
         "kkt_residual": kkt,
         "theta_norm": norm_theta,
         "theta_cap": float(theta_cap),
         "cap_exceeded": norm_theta > theta_cap,
-        "burn_in_ok": None,
     }
     return CategoricalWeightEstimate(theta, 1.0 + theta, "E2", diag)

@@ -1,5 +1,6 @@
 """Empirical moment estimates: the confusion-operator triple and its kernel analogue."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,8 @@ def population_moments_categorical(cfg):
     the midpoint decision boundaries, so the returned triple is the exact
     (T_g, p_g, q_g) of that statistic.  Sample counts are 0: nothing was drawn.
     """
-    from scipy.special import ndtr       # imported on first use: scipy loads slowly
+    def normal_cdf(z):
+        return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
 
     p, q = label_masses(cfg)
     centers = class_centers(cfg)
@@ -136,6 +138,6 @@ def population_moments_categorical(cfg):
         i = order[pos]          # class owning this interval of the real line
         zhi = (hi[pos] - centers) / cfg.noise_std
         zlo = (lo[pos] - centers) / cfg.noise_std
-        M[i, :] = ndtr(zhi) - ndtr(zlo)
+        M[i, :] = normal_cdf(zhi) - normal_cdf(zlo)
     T = M * p[None, :]
     return MomentEstimates(T, M @ p, M @ q, 0, 0)

@@ -1,6 +1,7 @@
 """Direct and regularized estimators for the categorical shift vector."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,13 +161,13 @@ def test_e2_iterative_regime_reaches_stationarity():
 
 
 def test_e2_objective_never_increases():
+    """The solution is no worse than theta = 0, whose objective is ||b||."""
     rng = np.random.default_rng(3)
     T = rng.uniform(0.05, 1.0, size=(5, 3))
     b = rng.normal(size=5)
     delta_T = 0.4 * np.linalg.norm(T.T @ b) / np.linalg.norm(b)
     est = e2_regularized(_mom(T, b), delta_T=delta_T)
-    trace = est.diagnostics["objective_trace"]
-    assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(trace, trace[1:]))
+    assert est.diagnostics["objective"] <= np.linalg.norm(b)
 
 
 def test_e2_beats_random_search_on_random_instances():
@@ -266,9 +267,80 @@ def test_e2_diagnostics_name_the_regime():
         assert d["solution_path"] == path
         assert isinstance(d["iterations"], int)
         assert (d["iterations"] > 0) == (path == "secular-root")
-        assert d["objective_trace"][-1] == d["objective"]
         if path != "secular-root":
             assert d["kkt_residual"] == 0.0
+
+
+def brentq_reference(T, b, delta_T):
+    """(theta, solution_path) of E2 with the interior solved by scipy's brentq:
+    the bracket's lower end steps down by 10x until psi changes sign, then
+    brentq finds the root."""
+    from scipy.optimize import brentq
+
+    eps = np.finfo(float).eps
+    U, s, Vt = np.linalg.svd(T, full_matrices=False)
+    c = U.T @ b
+    smax = float(s[0])
+    nb = float(np.linalg.norm(b))
+    pull = float(np.linalg.norm(s * c))
+    rank_mask = s > 1e-12 * max(smax, 1e-300)
+    s_kept = np.where(rank_mask, s, np.inf)
+    theta0 = Vt.T @ (c / s_kept)
+    zero = np.zeros(T.shape[1])
+    if nb == 0.0 or pull <= delta_T * nb:
+        return zero, "zero-shortcut"
+    if delta_T == 0.0:
+        return theta0, "pinv-shortcut"
+    if (np.linalg.norm(T @ theta0 - b) <= 1e-13 * max(1.0, nb)
+            and delta_T * np.linalg.norm(c / s_kept ** 2) <= np.linalg.norm(theta0)):
+        return theta0, "kink-shortcut"
+    out = b - U @ c if U.shape[0] > U.shape[1] else np.zeros_like(b)
+    out_sq = float(out @ out)
+
+    def psi(t):
+        w = 1.0 / (s * s + t)
+        return (delta_T * math.sqrt(float(np.sum((t * w * c) ** 2)) + out_sq)
+                / float(np.linalg.norm(s * w * c)) - t)
+
+    rho = delta_T * nb / pull
+    hi = 2.0 * rho * smax * smax / (1.0 - rho)
+    floor = eps * float(s[rank_mask][-1]) ** 2
+    lo = hi
+    while lo >= floor and psi(lo) < 0.0:
+        hi, lo = lo, lo * 0.1
+    if lo < floor:
+        return theta0, "kink-shortcut"
+    if lo == hi:
+        return zero, "zero-shortcut"
+    t = brentq(psi, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * eps)
+    return Vt.T @ (s / (s * s + t) * c), "secular-root"
+
+
+def test_e2_bisection_matches_the_brentq_reference():
+    """On random instances, some with two nearly collinear columns, E2 takes the
+    reference's regime, lands within 1e-10 of its theta and is no worse in
+    objective."""
+    rng = np.random.default_rng(2024)
+    paths = Counter()
+    for _ in range(4000):
+        k = int(rng.integers(2, 9))
+        d = k + int(rng.integers(0, 3))
+        T = rng.uniform(0.05, 1.0, (d, k))
+        if rng.random() < 0.2:
+            i, j = rng.choice(k, 2, replace=False)
+            T[:, j] = T[:, i] + 10.0 ** rng.uniform(-10, -4) * rng.normal(size=d)
+        b = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 1)
+        pull = np.linalg.norm(T.T @ b) / np.linalg.norm(b)
+        delta_T = rng.uniform(0.0, 1.05) * pull
+        ref, ref_path = brentq_reference(T, b, delta_T)
+        est = e2_regularized(_mom(T, b), delta_T)
+        path = est.diagnostics["solution_path"]
+        paths[path] += 1
+        assert path == ref_path
+        assert np.linalg.norm(est.theta_hat - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert (est.diagnostics["objective"]
+                <= _objective(T, b, delta_T, ref) + 1e-15 * max(1.0, np.linalg.norm(b)))
+    assert min(paths[p] for p in ("zero-shortcut", "kink-shortcut", "secular-root")) > 0
 
 
 # ===================== properties =====================
