@@ -174,6 +174,8 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
     diag = {
         "sigma_min": float(s[-1]),
         "sigma_max": smax,
+        # inf where check_burn_in_categorical finds the operator rank deficient
+        "op_inv_norm": float(1.0 / s[-1]) if rank_mask[-1] else float("inf"),
         "objective": _objective(T, b, delta_T, theta),
         "iterations": evals,
         "solution_path": how,

@@ -37,8 +37,9 @@ class DataError(ShiftWeightError, ValueError):
 
 
 class IllConditioned(ShiftWeightError):
-    """A linear system could not be solved, even after any jitter escalation,
-    or an iterative fit did not converge within its step cap."""
+    """An SPD solve met a matrix that is not numerically positive definite,
+    or NaN or inf in its inputs; or an iterative fit did not converge within
+    its step cap."""
 
 
 class ConfigError(ShiftWeightError):

@@ -225,9 +225,9 @@ def _run_categorical_cell(cfg, k, n, m, seed):
                                                    cfg.delta)[2]
         est = e2_regularized(mom, delta_T, theta_cap=cfg.theta_max)
     rel = relative_error(est.omega_hat, true_weight_categorical(gen), "categorical")
-    proxy = 1.0 / est.diagnostics["sigma_min"]
-    rep = confidence_report("categorical", cfg.alpha, n, m, cfg.delta, proxy,
-                            cfg.theta_max, d=d, k=k)
+    rep = confidence_report("categorical", cfg.alpha, n, m, cfg.delta,
+                            est.diagnostics["op_inv_norm"], cfg.theta_max,
+                            d=d, k=k)
     burn = check_burn_in_categorical(mom, d, k, cfg.alpha, n, cfg.delta)
     target_risk = None
     if cfg.run_erm:

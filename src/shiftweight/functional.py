@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, SingularOperator
-from .predictors import _safe_spd_solve, gaussian_gram, pivot_coefficients
+from .errors import SingularOperator
+from .predictors import gaussian_gram, pivot_coefficients
 
 EIG_TOL = 1e-10             # relative spectral cutoff for the direct inverse
+JITTER = 1e-12              # ridge shift E4 adds to lam
 
 
 @dataclass
@@ -55,7 +56,7 @@ def _estimate(km, a, method, lam, diag):
     anchors = km.anchors[km.pivots]
     rn = math.sqrt(max(_rkhs_norm_sq(anchors, beta, km.bandwidth), 0.0))
     diag.update(residual_sq=residual_norm_sq(km, beta),
-                factor_rank_y=km.phi.shape[1], factor_rank_u=km.psi.shape[1],
+                factor_rank_y=km.phi.shape[1], factor_rank_u=km.B.shape[0],
                 factor_residual=km.factor_residual)
     return FunctionalWeightEstimate(beta, anchors, method, float(lam), rn,
                                     km.bandwidth, diag)
@@ -65,24 +66,16 @@ def e4_regularized(km, lam):
     """Ridge-regularized estimate on the anchor span; lam equal to the operator
     confidence radius gives the default high-probability estimator, other lam
     values are the general-regularization variant.  Solves
-    (B^T B + lam I) a = B^T b in factor coordinates."""
+    (B^T B + (lam + JITTER) I) a = B^T b in factor coordinates, in closed form
+    on the SVD B = U diag(s) V^T: a = V (U^T b / (s + (lam + JITTER) / s)).
+    A zero singular value drops its direction."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    B, b = km.B, km.b
-    M = B.T @ B + lam * np.eye(B.shape[1])
-    trace = float(np.trace(M))
-    a = None
-    jitter_used = None
-    for jitter in (1e-12, 1e-8 * max(trace, 1.0)):
-        try:
-            a = _safe_spd_solve(M + jitter * np.eye(len(M)), B.T @ b)
-            jitter_used = jitter
-            break
-        except IllConditioned:
-            continue
-    if a is None or not np.all(np.isfinite(a)):
-        raise IllConditioned("normal equations unsolvable after jitter escalation")
-    est = _estimate(km, a, "E4", lam, {"jitter": jitter_used})
+    U, s, Vt = np.linalg.svd(km.B, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        shrink = s + (lam + JITTER) / s     # inf where s is 0
+    a = Vt.T @ ((U.T @ km.b) / shrink)
+    est = _estimate(km, a, "E4", lam, {"jitter": JITTER})
     est.diagnostics["objective"] = e4_objective(km, lam, est.beta)
     return est
 

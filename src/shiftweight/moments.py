@@ -24,18 +24,15 @@ class KernelMoments:
     """Kernel moments on the sample span, held as low-rank Gram factors.
 
     kernel(y_i, y_j) ~ phi @ phi.T over the anchors, and the kernel over the
-    u-images [u_src, u_tgt] ~ psi @ psi.T; every entry of either remainder is
-    at most factor_residual.  The points are kept so that the exact blocks
-    can be rebuilt.  B and b are the reduced system every estimator solves
-    in: theta with factor coordinates a has moment residual ||B a - b||.
+    u-images [u(x_i), u(x'_l)] ~ psi @ psi.T; every entry of either remainder
+    is at most factor_residual.  psi enters only through B and b, the reduced
+    system every estimator solves in: theta with factor coordinates a has
+    moment residual ||B a - b||.
     """
     anchors: np.ndarray     # the estimation-split source labels y_i, (N,)
-    u_src: np.ndarray       # u(x_i) over the estimation split, (N,)
-    u_tgt: np.ndarray       # u(x'_l) over the target sample, (m,)
     phi: np.ndarray         # anchor Gram factor, (N, r)
     pivots: np.ndarray      # anchor indices of phi's pivots; phi[pivots] is lower triangular
-    psi: np.ndarray         # u-image Gram factor, source rows then target rows, (N + m, s)
-    B: np.ndarray           # psi_s^T phi / N over the source rows psi_s, (s, r)
+    B: np.ndarray           # psi_s^T phi / N over the source rows psi_s of psi, (s, r)
     b: np.ndarray           # mean(psi_t) - mean(psi_s), (s,)
     factor_residual: float  # largest residual diagonal of the two factors
     kappa_bar: float
@@ -99,11 +96,8 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     psi_s, psi_t = psi[:N], psi[N:]
     return KernelMoments(
         anchors=y,
-        u_src=u_src,
-        u_tgt=u_tgt,
         phi=phi,
         pivots=pivots,
-        psi=psi,
         B=psi_s.T @ phi / N,
         b=psi_t.mean(axis=0) - psi_s.mean(axis=0),
         factor_residual=max(res_y, res_u),

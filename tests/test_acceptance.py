@@ -128,14 +128,15 @@ def test_criterion_06_functional_convergence():
     assert meds[2] <= 0.3, f"final median {meds[2]}"
 
 
-def _dense_e4_terms(km):
+def _dense_e4_terms(km, u_src, u_tgt):
     """Dense reference for J(beta) = beta^T (S + lam K) beta - 2 rhs^T beta
-    + const over all anchors, from Gram blocks of the stored points."""
+    + const over all anchors, from Gram blocks of the anchors and the
+    u-images of the estimation and target points."""
     bw, N = km.bandwidth, km.n_est
     K = gaussian_gram(km.anchors, km.anchors, bw)
-    G_uu = gaussian_gram(km.u_src, km.u_src, bw)
-    G_ut = gaussian_gram(km.u_src, km.u_tgt, bw)
-    G_tt = gaussian_gram(km.u_tgt, km.u_tgt, bw)
+    G_uu = gaussian_gram(u_src, u_src, bw)
+    G_ut = gaussian_gram(u_src, u_tgt, bw)
+    G_tt = gaussian_gram(u_tgt, u_tgt, bw)
     A = K / N
     S = A @ G_uu @ A
     rhs = A @ (G_ut.sum(axis=1) / km.m - G_uu.sum(axis=1) / N)
@@ -155,7 +156,7 @@ def test_criterion_07_e4_solver_correctness():
     km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
     lam = 0.05
     beta = e4_regularized(km, lam).beta
-    K, S, rhs, _ = _dense_e4_terms(km)
+    K, S, rhs, _ = _dense_e4_terms(km, u(sp.est_x), u(ds.target_x))
     full = np.zeros(km.n_est)
     full[km.pivots] = beta
     grad = (2.0 * (S @ full - rhs) + 2.0 * lam * (K @ full))[km.pivots]
@@ -174,7 +175,7 @@ def test_criterion_07_e4_solver_correctness():
     est = e4_regularized(km, lam)
     j_star = e4_objective(km, lam, est.beta)
     N = km.n_est
-    K, S, rhs, const = _dense_e4_terms(km)
+    K, S, rhs, const = _dense_e4_terms(km, u(sp.est_x), u(ds.target_x))
     rng = np.random.default_rng(7)
     pts = rng.uniform(-5.0, 5.0, size=(10 ** 5, N))
     js = np.einsum("ij,jk,ik->i", pts, S + lam * K, pts) \

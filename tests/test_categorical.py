@@ -271,6 +271,18 @@ def test_e2_diagnostics_name_the_regime():
             assert d["kkt_residual"] == 0.0
 
 
+def test_e2_op_inv_norm_follows_the_burn_in_rank_rule():
+    """Full rank: 1 / sigma_min, bit for bit as E1 reports it.  A zero
+    singular value: inf, where check_burn_in_categorical returns False."""
+    mom = _mom(HAND_T, HAND_DIFF)
+    assert e2_regularized(mom, 0.01).diagnostics["op_inv_norm"] \
+        == e1_direct(mom).diagnostics["op_inv_norm"]
+    singular = _mom([[0.8, 0.0], [0.2, 0.0]], HAND_DIFF)
+    diag = e2_regularized(singular, 0.01).diagnostics
+    assert diag["sigma_min"] == 0.0 and diag["op_inv_norm"] == math.inf
+    assert not check_burn_in_categorical(singular, 2, 2, 0.5, 10 ** 9, 0.1)
+
+
 def brentq_reference(T, b, delta_T):
     """(theta, solution_path) of E2 with the interior solved by scipy's brentq:
     the bracket's lower end steps down by 10x until psi changes sign, then

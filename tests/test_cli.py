@@ -1,5 +1,7 @@
 """Entry-point behavior: exit codes, output routing, overrides."""
 
+import csv
+
 import pytest
 
 from shiftweight import experiments
@@ -73,6 +75,21 @@ def test_undersampled_classes_exit_three(tmp_path, capsys):
     code = main(["run", _write(tmp_path, cfg), "--quiet"])
     assert code == EXIT_NUMERIC
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_e2_with_a_rank_deficient_operator_exits_zero(tmp_path):
+    """At k = 6, n = 30, seed 33 two classes are missing from the estimation
+    split, so T_hat has zero singular values: E2 still returns, the bound is
+    infinite and burn-in fails."""
+    cfg = "scenario = single_run\nestimator = E2\nseeds = 33\nn = 30\nk = 6\n"
+    out = tmp_path / "r.csv"
+    code = main(["run", _write(tmp_path, cfg), "--out", str(out), "--quiet"])
+    assert code == EXIT_OK
+    lines = out.read_text(encoding="utf-8").splitlines()
+    rows = list(csv.DictReader(lines[1:]))      # past the '# generated' line
+    assert len(rows) == 2                   # the seed and the median row
+    for row in rows:
+        assert row["epsilon_delta"] == "inf" and row["burn_in_ok"] == "0"
 
 
 def test_a_bug_is_not_reported_as_a_numerical_failure(tmp_path, capsys,

@@ -1,9 +1,9 @@
 """The low-rank factor path against dense Gram-block references.
 
 The library builds no dense n x n or n x m kernel block.  The dense algebra
-lives here as the reference, assembled from the points the kernel moments
-store: the same anchors, u-images and bandwidth.  The statistic u is checked
-against dense kernel ridge regression on its training split.
+lives here as the reference, assembled from the same anchors, u-images and
+bandwidth as the kernel moments.  The statistic u is checked against dense
+kernel ridge regression on its training split.
 
 The Gaussian blocks and the pivoted Cholesky factor are also checked bit for
 bit against their straightforward forms (np.unique, one temporary per step,
@@ -36,37 +36,52 @@ AGREE = 1e-9                # max |factor - dense| on the grid and on prediction
 
 
 @functools.lru_cache(maxsize=None)
-def _case(n, seed):
+def _fit(n, seed):
     cfg = RegressionSynthConfig(0.2, 0.8, seed=seed)
     ds = gen_regression(cfg, n, n)
     sp = split_alpha(ds, 0.5, seed=seed)
-    u = train_kernel_regressor((sp.erm_x, sp.erm_y))
+    return ds, sp, train_kernel_regressor((sp.erm_x, sp.erm_y))
+
+
+@functools.lru_cache(maxsize=None)
+def _case(n, seed):
+    ds, sp, u = _fit(n, seed)
     km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
     lam = 0.1 * functional_radii(0.5, n, n, 0.1, km.kappa_bar)[2]
     return ds, sp, km, lam
 
 
-def _dense_system(km):
+@functools.lru_cache(maxsize=None)
+def _u_images(n, seed):
+    """u at the estimation-split and target points of a case."""
+    ds, sp, u = _fit(n, seed)
+    return u(sp.est_x), u(ds.target_x)
+
+
+def _dense_system(n, seed):
+    _, _, km, _ = _case(n, seed)
+    u_src, u_tgt = _u_images(n, seed)
     bw, N = km.bandwidth, km.n_est
     K = gaussian_gram(km.anchors, km.anchors, bw)
-    G_uu = gaussian_gram(km.u_src, km.u_src, bw)
-    G_ut = gaussian_gram(km.u_src, km.u_tgt, bw)
+    G_uu = gaussian_gram(u_src, u_src, bw)
+    G_ut = gaussian_gram(u_src, u_tgt, bw)
     A = K / N
     S = A @ G_uu @ A
     rhs = A @ (G_ut.sum(axis=1) / km.m - G_uu.sum(axis=1) / N)
     return K, G_uu, S, rhs
 
 
-def _dense_e3(km):
-    _, _, S, rhs = _dense_system(km)
+def _dense_e3(n, seed):
+    _, _, S, rhs = _dense_system(n, seed)
     w, V = eigh(S)
     keep = w > EIG_TOL * w[-1]
     Vk = V[:, keep]
     return Vk @ ((Vk.T @ rhs) / w[keep]), int(keep.sum())
 
 
-def _dense_e4(km, lam):
-    K, _, S, rhs = _dense_system(km)
+def _dense_e4(n, seed):
+    _, _, km, lam = _case(n, seed)
+    K, _, S, rhs = _dense_system(n, seed)
     M = S + lam * K + 1e-12 * np.eye(km.n_est)
     return cho_solve(cho_factor(M, lower=True), rhs)
 
@@ -82,10 +97,11 @@ def _eig_factor(K):
     return V[:, keep] * np.sqrt(w[keep])
 
 
-def _dense_proxy(km):
+def _dense_proxy(n, seed):
     """The proxy's operator built densely: no generalized eigenproblem and no
     jitter, factors from eigh of the exact blocks, the same cutoff."""
-    K_yy, G_uu, _, _ = _dense_system(km)
+    _, _, km, _ = _case(n, seed)
+    K_yy, G_uu, _, _ = _dense_system(n, seed)
     s = np.linalg.svd(_eig_factor(G_uu).T @ _eig_factor(K_yy) / km.n_est,
                       compute_uv=False)
     kept = s[s * s > EIG_TOL * s[0] * s[0]]
@@ -105,7 +121,7 @@ def _dense_weighted_krr(x, y, w, bandwidth, ridge=1e-2):
 def test_e3_matches_dense_reference(n, seed):
     _, _, km, _ = _case(n, seed)
     est = e3_direct(km)
-    beta, rank_kept = _dense_e3(km)
+    beta, rank_kept = _dense_e3(n, seed)
     assert est.diagnostics["rank_kept"] == rank_kept
     gap = np.abs(theta_function(est)(GRID) - _dense_theta(km, beta)).max()
     assert gap <= AGREE, f"E3 theta differs by {gap:.3g}"
@@ -115,7 +131,7 @@ def test_e3_matches_dense_reference(n, seed):
 def test_e4_matches_dense_reference(n, seed):
     _, _, km, lam = _case(n, seed)
     est = e4_regularized(km, lam)
-    beta = _dense_e4(km, lam)
+    beta = _dense_e4(n, seed)
     gap = np.abs(theta_function(est)(GRID) - _dense_theta(km, beta)).max()
     assert gap <= AGREE, f"E4 theta differs by {gap:.3g}"
     K = gaussian_gram(km.anchors, km.anchors, km.bandwidth)
@@ -123,10 +139,24 @@ def test_e4_matches_dense_reference(n, seed):
 
 
 @pytest.mark.parametrize("n, seed", CASES)
+def test_e4_matches_the_normal_equations_solve(n, seed):
+    """E4's closed form on the SVD of B against the Cholesky solve of its
+    normal equations (B^T B + (lam + 1e-12) I) a = B^T b, in factor
+    coordinates, at lam > 0."""
+    _, _, km, lam = _case(n, seed)
+    assert lam > 0
+    B = km.B
+    ref = _safe_spd_solve(B.T @ B + (lam + 1e-12) * np.eye(B.shape[1]),
+                          B.T @ km.b)
+    a = km.phi[km.pivots].T @ e4_regularized(km, lam).beta
+    assert np.linalg.norm(a - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, seed", CASES)
 def test_proxy_matches_dense_reference(n, seed):
     _, _, km, _ = _case(n, seed)
     proxy = operator_inverse_norm_proxy(km)
-    assert proxy == pytest.approx(_dense_proxy(km), rel=AGREE)
+    assert proxy == pytest.approx(_dense_proxy(n, seed), rel=AGREE)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -152,7 +182,7 @@ def test_statistic_u_matches_dense_krr(n, seed):
     ds, sp, km, _ = _case(n, seed)
     dense = _dense_weighted_krr(sp.erm_x, sp.erm_y, np.ones(len(sp.erm_x)),
                                 km.bandwidth)
-    for points, values in ((sp.est_x, km.u_src), (ds.target_x, km.u_tgt)):
+    for points, values in zip((sp.est_x, ds.target_x), _u_images(n, seed)):
         gap = np.abs(values - dense(points)).max()
         assert gap <= AGREE, f"u differs from dense KRR by {gap:.3g}"
 
@@ -269,7 +299,7 @@ def test_factor_matches_reference_at_benchmark_size():
         _assert_same_factor(points, bandwidth)
     assert gaussian_pivoted_cholesky(points, 0.2)[0].shape[1] > 64
     _, _, km, _ = _case(2000, 0)
-    _assert_same_factor(np.concatenate([km.u_src, km.u_tgt]), km.bandwidth)
+    _assert_same_factor(np.concatenate(_u_images(2000, 0)), km.bandwidth)
 
 
 @settings(max_examples=200, deadline=None)

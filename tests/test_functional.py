@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftweight import (IllConditioned, RegressionSynthConfig,
-                         SingularOperator, check_burn_in_functional,
-                         confidence_report, e3_direct, e4_objective,
-                         e4_regularized, estimate_kernel_moments,
-                         evaluate_weight, functional_radii, gen_regression,
+from shiftweight import (RegressionSynthConfig, SingularOperator,
+                         check_burn_in_functional, confidence_report,
+                         e3_direct, e4_objective, e4_regularized,
+                         estimate_kernel_moments, evaluate_weight,
+                         functional_radii, gen_regression,
                          operator_inverse_norm_proxy, relative_error,
                          residual_norm_sq, split_alpha,
                          train_kernel_regressor, true_weight_function)
-from shiftweight.predictors import FACTOR_TOL, gaussian_gram
+from shiftweight.predictors import (FACTOR_TOL, gaussian_gram,
+                                    gaussian_pivoted_cholesky)
 
 # required n at proxy = 2, kappa_bar = 1, alpha = 0.5, delta = 0.1:
 # 256 * ln(60), evaluated independently
@@ -30,18 +31,18 @@ def _km_from_points(ys, us, ut, bandwidth=0.5):
         np.asarray(ut, dtype=float), lambda v: v, bandwidth=bandwidth)
 
 
-def _dense(km):
+def _dense(km, u_src, u_tgt):
     """Dense reference: the Gram blocks (K_yy, G_uu, G_ut, G_tt) built from
-    the points the moments store."""
+    the anchors and the u-images of the estimation and target points."""
     bw = km.bandwidth
     return (gaussian_gram(km.anchors, km.anchors, bw),
-            gaussian_gram(km.u_src, km.u_src, bw),
-            gaussian_gram(km.u_src, km.u_tgt, bw),
-            gaussian_gram(km.u_tgt, km.u_tgt, bw))
+            gaussian_gram(u_src, u_src, bw),
+            gaussian_gram(u_src, u_tgt, bw),
+            gaussian_gram(u_tgt, u_tgt, bw))
 
 
-def _dense_normal_system(km):
-    K, G_uu, G_ut, _ = _dense(km)
+def _dense_normal_system(km, u_src, u_tgt):
+    K, G_uu, G_ut, _ = _dense(km, u_src, u_tgt)
     N = km.n_est
     A = K / N
     S = A @ G_uu @ A
@@ -56,12 +57,19 @@ def _on_all_anchors(km, beta):
     return full
 
 
-def _instance(seed, n=20, m=12, a=0.2, b=0.8):
+def _instance_with_images(seed, n=20, m=12, a=0.2, b=0.8):
+    """KernelMoments of a seeded instance, with the u-images of its
+    estimation and target points."""
     cfg = RegressionSynthConfig(a, b, seed=seed)
     ds = gen_regression(cfg, n, m)
     sp = split_alpha(ds, 0.5, seed=seed)
     u = train_kernel_regressor((sp.erm_x, sp.erm_y))
-    return estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
+    km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
+    return km, u(sp.est_x), u(ds.target_x)
+
+
+def _instance(seed, n=20, m=12, a=0.2, b=0.8):
+    return _instance_with_images(seed, n, m, a, b)[0]
 
 
 def test_e4_zero_rhs_gives_zero_function():
@@ -84,10 +92,10 @@ def test_e4_solves_the_normal_equations():
     """The returned coefficients satisfy (S + (lam + jitter) K) beta = rhs,
     re-assembled here from dense Gram blocks; the jitter is added in factor
     coordinates, where the identity is K."""
-    km = _instance(1)
+    km, us, ut = _instance_with_images(1)
     lam = 0.05
     est = e4_regularized(km, lam)
-    K, S, rhs = _dense_normal_system(km)
+    K, S, rhs = _dense_normal_system(km, us, ut)
     lhs = (S + (lam + est.diagnostics["jitter"]) * K) \
         @ _on_all_anchors(km, est.beta)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -96,11 +104,11 @@ def test_e4_solves_the_normal_equations():
 def test_e4_gradient_matches_finite_differences():
     """Central differences of J at the solver output, step 1e-6, along each
     pivot-anchor coefficient, against the dense gradient."""
-    km = _instance(2, n=20, m=10)
+    km, us, ut = _instance_with_images(2, n=20, m=10)
     lam = 0.02
     est = e4_regularized(km, lam)
     beta = est.beta
-    K, S, rhs = _dense_normal_system(km)
+    K, S, rhs = _dense_normal_system(km, us, ut)
     full = _on_all_anchors(km, beta)
     analytic = (2.0 * (S @ full - rhs) + 2.0 * lam * (K @ full))[km.pivots]
     h = 1e-6
@@ -118,15 +126,15 @@ def test_e4_gradient_matches_finite_differences():
 def test_e4_beats_random_search():
     """Convex global-optimality audit on a small instance: 1e5 random points
     in the sup-norm ball of radius 5 never improve the objective."""
-    km = _instance(3, n=16, m=8)
+    km, us, ut = _instance_with_images(3, n=16, m=8)
     lam = 0.1
     est = e4_regularized(km, lam)
     j_star = e4_objective(km, lam, est.beta)
     rng = np.random.default_rng(33)
     pts = rng.uniform(-5, 5, size=(10 ** 5, km.n_est))
     N = km.n_est
-    K, S, rhs = _dense_normal_system(km)
-    _, G_uu, G_ut, G_tt = _dense(km)
+    K, S, rhs = _dense_normal_system(km, us, ut)
+    _, G_uu, G_ut, G_tt = _dense(km, us, ut)
     const = float(G_tt.sum()) / km.m ** 2 \
         - 2.0 / (km.m * N) * float(G_ut.sum()) \
         + float(G_uu.sum()) / N ** 2
@@ -169,15 +177,18 @@ def test_e4_rejects_negative_lambda():
         e4_regularized(_instance(5), -0.1)
 
 
-def test_e4_ill_conditioned_system_raises():
-    """A reduced system whose normal matrix overflows defeats both jitter
-    levels: B and b as built from a u-image factor scaled by 1e200."""
-    ys = np.array([0.0, 1.0, 2.0])
-    km = _km_from_points(ys, ys, np.array([0.5, 1.5]))
-    km.B = 1e200 * km.B
-    km.b = 1e200 * km.b
-    with pytest.raises(IllConditioned):
-        e4_regularized(km, 0.0)
+def test_e4_drops_the_direction_of_a_zero_singular_value():
+    """A B with an exactly zero singular value at lam = 0: a is finite and
+    has no component along that right singular vector."""
+    km = _km_from_points([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.5, 1.5])
+    km.B = np.zeros_like(km.B)
+    km.B[0, 0], km.B[1, 1] = 0.5, 0.2
+    _, s, Vt = np.linalg.svd(km.B, full_matrices=False)
+    assert s[-1] == 0.0
+    est = e4_regularized(km, 0.0)
+    a = km.phi[km.pivots].T @ est.beta          # factor coordinates
+    assert np.all(np.isfinite(a))
+    assert abs(a @ Vt[-1]) <= 1e-15 * np.linalg.norm(a)
 
 
 def test_e3_matches_barely_regularized_e4_when_nothing_truncated():
@@ -210,7 +221,8 @@ def test_e3_degenerate_spectrum_raises():
 def test_diagnostics_report_the_factors():
     """Both estimators report the factor ranks and the residual that bounds
     every entry of K - phi phi^T, next to their existing keys."""
-    km = _instance(14, n=40, m=20)
+    km, us, ut = _instance_with_images(14, n=40, m=20)
+    psi = gaussian_pivoted_cholesky(np.concatenate([us, ut]), km.bandwidth)[0]
     e3 = e3_direct(km).diagnostics
     e4 = e4_regularized(km, 0.05).diagnostics
     assert {"condition_number", "spectrum_max", "spectrum_min_kept",
@@ -218,7 +230,7 @@ def test_diagnostics_report_the_factors():
     assert {"jitter", "residual_sq", "objective"} <= set(e4)
     for diag in (e3, e4):
         assert diag["factor_rank_y"] == km.phi.shape[1] >= 1
-        assert diag["factor_rank_u"] == km.psi.shape[1] >= 1
+        assert diag["factor_rank_u"] == psi.shape[1] >= 1
         assert diag["factor_residual"] == km.factor_residual
         assert 0.0 <= diag["factor_residual"] <= FACTOR_TOL
 

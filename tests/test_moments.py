@@ -10,7 +10,8 @@ from shiftweight import (CategoricalSynthConfig, DataError, NonFiniteInput,
                          population_moments_categorical, split_alpha,
                          train_kernel_regressor, train_simplex)
 from shiftweight.datagen import class_centers, label_masses
-from shiftweight.predictors import FACTOR_TOL, gaussian_gram
+from shiftweight.predictors import (FACTOR_TOL, gaussian_gram,
+                                    gaussian_pivoted_cholesky)
 
 
 def _rounding(factor):
@@ -226,7 +227,7 @@ def test_kernel_blocks_match_double_loop():
 
     us, ut = u(xs), u(xt)
     K_yy = _gram(km.phi)
-    G = _gram(km.psi)
+    G = _gram(gaussian_pivoted_cholesky(np.concatenate([us, ut]), 0.9)[0])
     G_uu, G_ut, G_tt = G[:3, :3], G[:3, 3:], G[3:, 3:]
     for i in range(3):
         for j in range(3):
@@ -250,12 +251,16 @@ def test_kernel_moments_metadata_and_psd():
     assert km.bandwidth == 0.7
     assert km.n_est == 40 and km.m == 25
     np.testing.assert_array_equal(km.anchors, ys)
-    np.testing.assert_array_equal(km.u_src, u(xs))
-    np.testing.assert_array_equal(km.u_tgt, u(xt))
-    assert km.psi.shape[0] == 40 + 25
+    us, ut = u(xs), u(xt)
+    psi = gaussian_pivoted_cholesky(np.concatenate([us, ut]), 0.7)[0]
+    # the reduced system is built from the u-image factor of these points
+    np.testing.assert_array_equal(km.B, psi[:40].T @ km.phi / 40)
+    np.testing.assert_array_equal(km.b, psi[40:].mean(axis=0)
+                                  - psi[:40].mean(axis=0))
+    assert psi.shape[0] == 40 + 25
     assert 0.0 <= km.factor_residual <= FACTOR_TOL
-    for pts, factor in ((km.anchors, km.phi), (km.u_src, km.psi[:40]),
-                        (km.u_tgt, km.psi[40:])):
+    for pts, factor in ((km.anchors, km.phi), (us, psi[:40]),
+                        (ut, psi[40:])):
         G = _gram(factor)
         np.testing.assert_allclose(G, G.T, atol=1e-15)
         evals = np.linalg.eigvalsh(G)
