@@ -62,12 +62,15 @@ def _per_sample_weights(omega, y):
 
 
 def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
-                 bandwidth=0.9, ridge=1e-2):
+                 bandwidth=0.9, ridge=1e-2, start=None):
     """Minimize the weighted surrogate over the chosen family.
 
     omega is a callable evaluated at the labels or, for logistic only, a
     length-k weight vector indexed by class label.  gamma = 0 weights are all
-    ones and run the identical code path as unweighted training.
+    ones and run the identical code path as unweighted training.  start, for
+    logistic only, is a (p, k) Newton start for the softmax weights, such as
+    the simplex statistic's coef on the same covariates; the fitted model
+    does not depend on it beyond rounding.
     """
     x, y = erm_split
     x = np.asarray(x, dtype=float)
@@ -80,7 +83,7 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
         if not callable(omega) and np.shape(omega) != (k,):
             raise DataError(f"omega has shape {np.shape(omega)}, expected ({k},)")
         w = _per_sample_weights(omega, y)
-        logits, train_logits = logistic_fit(x, y, k, w)
+        logits, train_logits, _ = logistic_fit(x, y, k, w, start=start)
 
         def fn(xq):
             return np.argmax(logits(xq), axis=1)
@@ -88,6 +91,9 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
         model = FittedModel("logistic", fn)
         risk = float(np.mean(w * (np.argmax(train_logits, axis=1) != y)))
     elif family == "kernel_ridge":
+        if start is not None:
+            raise DataError("start is a logistic Newton start; kernel_ridge "
+                            "takes none")
         if not callable(omega):
             raise DataError("kernel_ridge needs omega as a function of the "
                             "real labels, not a vector indexed by class")

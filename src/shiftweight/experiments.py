@@ -233,7 +233,7 @@ def _run_categorical_cell(cfg, k, n, m, seed):
     if cfg.run_erm:
         weights = blend_gamma(est.theta_hat, cfg.gamma)
         fit = weighted_erm((sp.erm_x, sp.erm_y), weights, "logistic", k=k,
-                           gamma=cfg.gamma)
+                           gamma=cfg.gamma, start=g.coef)
         target_risk = oracle_target_risk(fit.model, ds.target_x, ds.target_y_oracle)
     return rel, rep.epsilon_delta, burn, target_risk
 

@@ -1,7 +1,7 @@
 """Statistic functions g (categorical) and u (regression) trained on source data.
 
 These feed the moment estimators; they are not the final ERM model.  Training is
-deterministic: fixed feature construction, zero initialization, full-batch steps.
+deterministic: fixed feature construction, a zero or given start, full-batch steps.
 """
 
 import math
@@ -12,11 +12,14 @@ from .errors import DataError, IllConditioned, require_finite
 
 
 class StatisticFn:
-    """Trained statistic; maps covariates (n,) to (n, d) outputs, or (n,) in kernel mode."""
+    """Trained statistic; maps covariates (n,) to (n, d) outputs, or (n,) in kernel mode.
+    coef holds the softmax weights of the simplex statistic, a Newton start
+    for logistic fits on the same covariates; None on the other statistics."""
 
-    def __init__(self, mode, output_dim, fn):
+    def __init__(self, mode, output_dim, fn, coef=None):
         self.mode = mode
         self.output_dim = output_dim
+        self.coef = coef
         self._fn = fn
 
     def __call__(self, x):
@@ -30,12 +33,12 @@ N_CENTERS = 32
 
 def _gaussian_block(a, b, bandwidth, out):
     """Writes kernel(a_i, b_j) = exp(-(a_i - b_j)^2 / (2 bandwidth^2)) into
-    out, shape (len(a), len(b)), in place: subtract, square, negate, divide,
-    exp, the rounding of the expression np.exp(-(a - b) ** 2 / (2 h^2))."""
+    out, shape (len(a), len(b)), in place: subtract, square, divide by
+    -2 bandwidth^2, exp.  (-d)/c and d/(-c) round alike, so this is the
+    rounding of the expression np.exp(-(a - b) ** 2 / (2 h^2))."""
     np.subtract(a[:, None], b[None, :], out=out)
     np.square(out, out=out)
-    np.negative(out, out=out)
-    out /= 2.0 * bandwidth * bandwidth
+    out /= -2.0 * bandwidth * bandwidth
     np.exp(out, out=out)
     return out
 
@@ -102,88 +105,134 @@ NEWTON_TOL = 1e-14          # stop once the Newton decrement is at most this
 NEWTON_MAX_STEPS = 50
 
 
-def fit_multinomial_logistic(feats, y, k, sample_weight=None):
+def _fold_classes(ufunc, zc):
+    """ufunc folded over the k rows of the class-major (k, n) array zc in
+    class order: k - 1 passes over whole rows, where numpy's reduction along
+    a short class axis pays its loop overhead once per sample.  np.maximum
+    is exact, and np.add adds in class order as numpy's sum does along an
+    axis shorter than 8, so for k < 8 the results are zc.max(axis=0) and
+    zc.sum(axis=0) bit for bit, whatever the memory order of zc."""
+    out = zc[0].copy()
+    for row in zc[1:]:
+        ufunc(out, row, out=out)
+    return out
+
+
+def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
     """Minimizes sum_i w_i CE_i / n + REG/2 ||W||^2 over the (p, k) softmax
-    weights W by damped Newton: each step is halved until the loss drops by a
-    quarter of the decrement g^T H^-1 g, and the fit stops once that decrement
-    is at most NEWTON_TOL.  Unit weights run the unweighted code path.
-    Weights must be finite and non-negative; zero weights are allowed."""
+    weights W by damped Newton from start (zeros when None): each step is
+    halved until the loss drops by a quarter of the decrement g^T H^-1 g.
+    The fit stops once that decrement is at most NEWTON_TOL, or once the
+    point the halving accepts is W itself, bit for bit: then no
+    representable step along the Newton direction lowers the loss.  The loss
+    is strongly convex, so its minimizer does not depend on start.  Unit
+    weights run the unweighted code path.  Weights must be finite and
+    non-negative; zero weights are allowed."""
     n, p = feats.shape
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     require_finite(sample_weight=w)
     if np.any(w < 0):
         raise DataError("sample_weight holds a negative weight")
+    if start is None:
+        W = np.zeros((p, k))
+    else:
+        W = np.array(start, dtype=float)
+        if W.shape != (p, k):
+            raise DataError(f"start has shape {W.shape}, expected ({p}, {k})")
+        require_finite(start=W)
     y = np.asarray(y, dtype=int)
-    onehot = np.eye(k)[y]
-    rows = np.arange(n)
+    g = np.empty_like(feats)    # shared by all blocks: one per block was ~20% slower
+    # A subnormal feature, 0 < |f| < tiny, makes every product it enters
+    # several times slower, and what it adds to the fit's sums is lost to
+    # rounding: zero it, in a copy made only when one is present.
+    tiny = np.finfo(float).tiny     # the smallest normal double
+    np.abs(feats, out=g)
+    if np.min(g, where=g > 0, initial=tiny) < tiny:
+        feats = np.where(g < tiny, 0.0, feats)
+    # Logits, probabilities and one-hot are class-major, (k, n): each class
+    # pass reads one contiguous row.
+    onehot = np.zeros((k, n))
+    onehot[y, np.arange(n)] = 1.0
 
     def state(W):
         """Loss at W and the softmax probabilities, from one pass over the logits."""
-        z = feats @ W
-        z -= z.max(axis=1, keepdims=True)
+        z = W.T @ feats.T
+        z -= _fold_classes(np.maximum, z)
         ez = np.exp(z)
-        total = ez.sum(axis=1)
-        ce = np.log(total) - z[rows, y]
-        return w @ ce / n + 0.5 * REG * np.sum(W * W), ez / total[:, None]
+        total = _fold_classes(np.add, ez)
+        ce = np.log(total) - np.take_along_axis(z, y[None, :], axis=0)[0]
+        ez /= total
+        return w @ ce / n + 0.5 * REG * np.sum(W * W), ez
 
-    W = np.zeros((p, k))
     f, probs = state(W)
-    g = np.empty_like(feats)    # shared by all blocks: one per block was ~20% slower
+    uniform = start is None     # at W = 0 every probability is exactly 1/k
     for _ in range(NEWTON_MAX_STEPS):
-        grad = feats.T @ ((probs - onehot) * w[:, None]) / n + REG * W
+        grad = ((probs - onehot) * w) @ feats / n + REG * W.T     # (k, p)
         # Block (a, b) couples W[:, a] and W[:, b].  Off the diagonal it is
         # -F^T diag(w p_a p_b / n) F; the probabilities sum to one, so each
         # diagonal block is minus the sum of the others in its block row.
+        # With uniform probabilities every off-diagonal block is the same.
         hess = np.zeros((k, p, k, p))
+        gram = None
         for a in range(k):
             for b in range(a + 1, k):
-                np.multiply(feats, np.sqrt(w * probs[:, a] * probs[:, b] / n)[:, None],
-                            out=g)
-                gram = g.T @ g
+                if gram is None or not uniform:
+                    np.multiply(feats, np.sqrt(w * probs[a] * probs[b] / n)[:, None],
+                                out=g)
+                    gram = g.T @ g
                 hess[a, :, b] = hess[b, :, a] = -gram
                 hess[a, :, a] += gram
                 hess[b, :, b] += gram
         hess = hess.reshape(k * p, k * p) + REG * np.eye(k * p)
-        step = _safe_spd_solve(hess, grad.T.reshape(-1)).reshape(k, p).T
-        dec = float(np.sum(grad * step))
+        step = _safe_spd_solve(hess, grad.reshape(-1)).reshape(k, p).T
+        dec = float(np.sum(grad.T * step))
         if dec <= NEWTON_TOL:
             return W - step
         t = 1.0
-        f_new, probs_new = state(W - step)
+        W_new = W - step
+        f_new, probs_new = state(W_new)
         while f_new > f - t * dec / 4:
             t *= 0.5
-            f_new, probs_new = state(W - t * step)
-        W, f, probs = W - t * step, f_new, probs_new
+            W_new = W - t * step
+            f_new, probs_new = state(W_new)
+        if np.array_equal(W_new, W):
+            return W
+        W, f, probs = W_new, f_new, probs_new
+        uniform = False
     raise IllConditioned(f"logistic fit not converged in {NEWTON_MAX_STEPS} steps")
 
 
-def logistic_fit(x, y, k, w=None):
-    """Weighted multinomial logistic regression on the RBF features of x;
-    returns the logits function xq -> (len(xq), k) and the logits at x, the
-    values that function gives at x.  w = None: unit weights."""
+def logistic_fit(x, y, k, w=None, start=None):
+    """Weighted multinomial logistic regression on the RBF features of x.
+    Returns the logits function xq -> (len(xq), k), the logits at x (the
+    values that function gives at x) and the (p, k) weights W.  w = None:
+    unit weights; start: a Newton start for W, such as the weights of an
+    earlier fit on the same x."""
     centers, scale = feature_plan(x)
     feats = rbf_features(x, centers, scale)
-    W = fit_multinomial_logistic(feats, y, k, sample_weight=w)
+    W = fit_multinomial_logistic(feats, y, k, sample_weight=w, start=start)
 
     def logits(xq):
         return rbf_features(xq, centers, scale) @ W
 
-    return logits, feats @ W
+    return logits, feats @ W, W
 
 
 def train_simplex(train, k):
-    """Multinomial logistic statistic; outputs on the probability simplex."""
+    """Multinomial logistic statistic; outputs on the probability simplex.
+    Its coef is the fitted W."""
     x, y = train
     _check_classes_present(y, k)
-    logits, _ = logistic_fit(x, y, k)
+    logits, _, W = logistic_fit(x, y, k)
 
     def probs(xq):
         # softmax by max-shift, exp and normalize
         z = logits(xq)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        e = np.exp(z - _fold_classes(np.maximum, z.T)[:, None])
+        e /= _fold_classes(np.add, e.T)[:, None]
+        return e
 
-    return StatisticFn("Simplex", k, probs)
+    return StatisticFn("Simplex", k, probs, coef=W)
 
 
 def train_hypercube(train, k):

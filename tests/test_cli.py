@@ -92,6 +92,24 @@ def test_e2_with_a_rank_deficient_operator_exits_zero(tmp_path):
         assert row["epsilon_delta"] == "inf" and row["burn_in_ok"] == "0"
 
 
+@pytest.mark.parametrize("mode, n, seed", (("simplex", 12, 22),
+                                           ("hypercube", 30, 4)))
+def test_logistic_erm_at_its_rounding_floor_exits_zero(tmp_path, mode, n,
+                                                       seed):
+    """E1's class weights on these tiny cells are extreme: one is clamped
+    to 0, the other is about 2.6e5 or 1.2e3.  There the ERM fit can reach a
+    point where no representable Newton step lowers the loss while the
+    decrement still sits just above NEWTON_TOL.  The fit returns that point
+    instead of repeating the step to its cap and raising IllConditioned."""
+    cfg = (f"scenario = single_run\nestimator = E1\nk = 2\nn = {n}\n"
+           f"run_erm = true\nstatistic_mode = {mode}\nseeds = {seed}\n")
+    out = tmp_path / "r.csv"
+    code = main(["run", _write(tmp_path, cfg), "--out", str(out), "--quiet"])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()[1:]))
+    assert 0.0 <= float(rows[0]["target_risk"]) <= 1.0
+
+
 def test_a_bug_is_not_reported_as_a_numerical_failure(tmp_path, capsys,
                                                      monkeypatch):
     def broken(mom):

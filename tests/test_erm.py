@@ -5,7 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from shiftweight import blend_gamma, oracle_target_risk, weighted_erm
+from shiftweight import (DataError, blend_gamma, oracle_target_risk,
+                         weighted_erm)
 from shiftweight.erm import FittedModel
 
 
@@ -113,6 +114,13 @@ def test_kernel_ridge_family_with_callable_weights():
     probe = np.linspace(0.1, 0.9, 25)
     assert np.max(np.abs(res.model.predict(probe) - np.sin(3 * probe))) < 0.15
     assert 0.0 <= res.train_weighted_risk < 0.05
+
+
+def test_kernel_ridge_rejects_a_newton_start():
+    x = np.linspace(0.0, 1.0, 40)
+    with pytest.raises(DataError, match="start"):
+        weighted_erm((x, np.sin(3 * x)), lambda ys: np.ones_like(ys),
+                     family="kernel_ridge", start=np.zeros((33, 2)))
 
 
 def test_gamma_is_recorded_metadata():

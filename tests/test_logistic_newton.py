@@ -1,15 +1,17 @@
 """The weighted multinomial logistic fit behind the simplex statistic and
 logistic ERM: convergence to the minimizer, agreement with a dense Newton
-reference, typed failures at the cap and on bad weights."""
+reference from zero and from a warm start, the Hessian at the zero start,
+subnormal features, typed failures at the cap and on bad weights or starts,
+and the runner's warm-started ERM fit."""
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp, softmax
 
 from shiftweight import (CategoricalSynthConfig, DataError, IllConditioned,
-                         NonFiniteInput, gen_categorical, split_alpha,
-                         train_simplex)
-from shiftweight import predictors
+                         NonFiniteInput, build_config, gen_categorical,
+                         split_alpha, train_simplex)
+from shiftweight import experiments, predictors
 from shiftweight.predictors import (NEWTON_MAX_STEPS, NEWTON_TOL, REG,
                                     _safe_spd_solve, feature_plan,
                                     fit_multinomial_logistic, rbf_features)
@@ -49,8 +51,8 @@ def dense_newton_reference(feats, y, k, w):
     raise IllConditioned("reference fit not converged")
 
 
-def _assert_matches_reference(feats, y, k, w, feats_q):
-    W = fit_multinomial_logistic(feats, y, k, sample_weight=w)
+def _assert_matches_reference(feats, y, k, w, feats_q, start=None):
+    W = fit_multinomial_logistic(feats, y, k, sample_weight=w, start=start)
     W_ref = dense_newton_reference(feats, y, k, w)
     assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
     np.testing.assert_array_equal(np.argmax(feats_q @ W, axis=1),
@@ -80,6 +82,95 @@ def test_benchmark_erm_fits_match_the_dense_reference(seed, weighted):
     w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
     _assert_matches_reference(rbf_features(x, centers, scale), y, 4, w,
                               rbf_features(ds.target_x, centers, scale))
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("seed", (101000, 101001, 101002))
+def test_warm_started_benchmark_erm_fits_match_the_dense_reference(seed,
+                                                                   weighted):
+    """Started from the unweighted fit's W, as the runner starts its ERM fit
+    from the simplex statistic's, the fit reaches the reference's minimizer."""
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, seed), 8000, 8000)
+    sp = split_alpha(ds, 0.5, seed=seed)
+    x, y = sp.erm_x, sp.erm_y
+    centers, scale = feature_plan(x)
+    feats = rbf_features(x, centers, scale)
+    w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
+    _assert_matches_reference(feats, y, 4, w,
+                              rbf_features(ds.target_x, centers, scale),
+                              start=fit_multinomial_logistic(feats, y, 4))
+
+
+@pytest.mark.parametrize("k", (2, 4, 6))
+def test_zero_start_hessian_is_the_pairwise_gram_assembly(monkeypatch, k):
+    """At W = 0 every probability is 1/k, so the one gram the fit builds
+    gives, bit for bit, the Hessian assembled from all k(k-1)/2 off-diagonal
+    grams F^T diag(w p_a p_b / n) F."""
+    ds = gen_categorical(CategoricalSynthConfig(k, 0.5, 900 + k), 1500, 1500)
+    x, y = ds.source_x, ds.source_y
+    feats = rbf_features(x, *feature_plan(x))
+    n, p = feats.shape
+    w = np.linspace(0.5, 2.0, k)[y]
+    probs = np.full((k, n), 1.0 / k)
+    hess = np.zeros((k, p, k, p))
+    for a in range(k):
+        for b in range(a + 1, k):
+            g = feats * np.sqrt(w * probs[a] * probs[b] / n)[:, None]
+            gram = g.T @ g
+            hess[a, :, b] = hess[b, :, a] = -gram
+            hess[a, :, a] += gram
+            hess[b, :, b] += gram
+    hess = hess.reshape(k * p, k * p) + REG * np.eye(k * p)
+
+    seen = []
+
+    def capture(a, b):          # records the fit's first Hessian and stops it
+        seen.append(a.copy())
+        raise IllConditioned("captured")
+
+    monkeypatch.setattr(predictors, "_safe_spd_solve", capture)
+    with pytest.raises(IllConditioned, match="captured"):
+        fit_multinomial_logistic(feats, y, k, sample_weight=w)
+    np.testing.assert_array_equal(seen[0], hess)
+
+
+def test_subnormal_features_are_zeroed_in_a_copy():
+    """At noise_std 0.1 a few percent of the ERM split's RBF features are
+    subnormal.  The fit zeroes them in its own copy: the caller's features
+    are untouched, the fit on pre-zeroed features is the same bits, and the
+    gradient of the loss on the original features vanishes at W."""
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.1, 0), 8000, 8000)
+    sp = split_alpha(ds, 0.5, seed=0)
+    x, y = sp.erm_x, sp.erm_y
+    feats = rbf_features(x, *feature_plan(x))
+    tiny = np.finfo(float).tiny
+    subnormal = (feats != 0) & (np.abs(feats) < tiny)
+    assert subnormal.mean() > 0.01
+    before = feats.copy()
+    w = np.linspace(0.5, 2.0, 4)[y]
+    W = fit_multinomial_logistic(feats, y, 4, sample_weight=w)
+    np.testing.assert_array_equal(feats, before)
+    np.testing.assert_array_equal(
+        W, fit_multinomial_logistic(np.where(subnormal, 0.0, feats), y, 4,
+                                    sample_weight=w))
+    z = feats @ W
+    probs = np.exp(z - z.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    grad = feats.T @ ((probs - np.eye(4)[y]) * w[:, None]) / len(y) + REG * W
+    assert np.linalg.norm(grad) <= 1e-10
+
+
+@pytest.mark.parametrize("bad, error", (
+    (np.zeros((33, 3)), DataError),
+    (np.zeros(33 * 4), DataError),
+    (np.full((33, 4), np.nan), NonFiniteInput),
+    (np.full((33, 4), np.inf), NonFiniteInput)))
+def test_bad_start_is_typed(bad, error):
+    x = np.linspace(0.0, 3.0, 60)
+    y = np.repeat(np.arange(4), 15)
+    with pytest.raises(error, match="start"):
+        fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 4,
+                                 start=bad)
 
 
 @pytest.mark.parametrize("bad, error", ((-0.5, DataError),
@@ -119,3 +210,43 @@ def test_fit_raises_instead_of_returning_a_capped_iterate(monkeypatch):
     y = np.repeat(np.arange(3), 40)
     with pytest.raises(IllConditioned, match="not converged"):
         train_simplex((x, y), 3)
+
+
+def _erm_steps(monkeypatch, seed, drop_start):
+    """Newton steps of the ERM fit in the runner's E2 simplex cell at
+    n = m = 8000, counted as solves inside weighted_erm; drop_start runs
+    that fit from zero instead."""
+    solves = [0]
+    steps = []
+    real_solve, real_erm = predictors._safe_spd_solve, experiments.weighted_erm
+
+    def counting_solve(a, b):
+        solves[0] += 1
+        return real_solve(a, b)
+
+    def erm(*args, **kwargs):
+        if drop_start:
+            kwargs["start"] = None
+        before = solves[0]
+        fit = real_erm(*args, **kwargs)
+        steps.append(solves[0] - before)
+        return fit
+
+    monkeypatch.setattr(predictors, "_safe_spd_solve", counting_solve)
+    monkeypatch.setattr(experiments, "weighted_erm", erm)
+    cfg = build_config({"scenario": "single_run", "estimator": "E2",
+                        "statistic_mode": "simplex", "n": 8000,
+                        "seeds": (seed,), "reg_scale": 0.1, "run_erm": True})
+    experiments.run_experiment(cfg, quiet=True)
+    assert len(steps) == 1
+    return steps[0]
+
+
+@pytest.mark.parametrize("seed", (101000, 101001, 101002))
+def test_runner_erm_fit_starts_from_the_simplex_statistic(monkeypatch, seed):
+    """The runner starts its logistic ERM fit from the simplex statistic's
+    weights, the gamma = 0 solution of the same problem, and that start
+    saves Newton steps over a start from zero."""
+    warm = _erm_steps(monkeypatch, seed, drop_start=False)
+    cold = _erm_steps(monkeypatch, seed, drop_start=True)
+    assert warm < cold

@@ -200,7 +200,9 @@ def test_statistic_fn_metadata():
     g = train_simplex((x, y), 4)
     h = train_hypercube((x, y), 4)
     assert g.mode == "Simplex" and g.output_dim == 4
-    assert h.mode == "HyperCube" and h.output_dim == 4
+    assert h.mode == "HyperCube" and h.output_dim == 4 and h.coef is None
+    np.testing.assert_array_equal(
+        g.coef, fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 4))
     x2 = np.linspace(0, 1, 12)
     u = train_kernel_regressor((x2, x2))
-    assert u.mode == "KernelRegressor" and u.output_dim == 1
+    assert u.mode == "KernelRegressor" and u.output_dim == 1 and u.coef is None
