@@ -107,11 +107,8 @@ NEWTON_MAX_STEPS = 50
 
 def _fold_classes(ufunc, zc):
     """ufunc folded over the k rows of the class-major (k, n) array zc in
-    class order: k - 1 passes over whole rows, where numpy's reduction along
-    a short class axis pays its loop overhead once per sample.  np.maximum
-    is exact, and np.add adds in class order as numpy's sum does along an
-    axis shorter than 8, so for k < 8 the results are zc.max(axis=0) and
-    zc.sum(axis=0) bit for bit, whatever the memory order of zc."""
+    class order: k - 1 passes over contiguous rows, where numpy's reduction
+    along a short class axis pays its loop overhead once per sample."""
     out = zc[0].copy()
     for row in zc[1:]:
         ufunc(out, row, out=out)
@@ -141,14 +138,6 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
             raise DataError(f"start has shape {W.shape}, expected ({p}, {k})")
         require_finite(start=W)
     y = np.asarray(y, dtype=int)
-    g = np.empty_like(feats)    # shared by all blocks: one per block was ~20% slower
-    # A subnormal feature, 0 < |f| < tiny, makes every product it enters
-    # several times slower, and what it adds to the fit's sums is lost to
-    # rounding: zero it, in a copy made only when one is present.
-    tiny = np.finfo(float).tiny     # the smallest normal double
-    np.abs(feats, out=g)
-    if np.min(g, where=g > 0, initial=tiny) < tiny:
-        feats = np.where(g < tiny, 0.0, feats)
     # Logits, probabilities and one-hot are class-major, (k, n): each class
     # pass reads one contiguous row.
     onehot = np.zeros((k, n))
@@ -165,21 +154,18 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
         return w @ ce / n + 0.5 * REG * np.sum(W * W), ez
 
     f, probs = state(W)
-    uniform = start is None     # at W = 0 every probability is exactly 1/k
+    g = np.empty_like(feats)    # shared by all blocks: one per block was ~20% slower
     for _ in range(NEWTON_MAX_STEPS):
         grad = ((probs - onehot) * w) @ feats / n + REG * W.T     # (k, p)
         # Block (a, b) couples W[:, a] and W[:, b].  Off the diagonal it is
         # -F^T diag(w p_a p_b / n) F; the probabilities sum to one, so each
         # diagonal block is minus the sum of the others in its block row.
-        # With uniform probabilities every off-diagonal block is the same.
         hess = np.zeros((k, p, k, p))
-        gram = None
         for a in range(k):
             for b in range(a + 1, k):
-                if gram is None or not uniform:
-                    np.multiply(feats, np.sqrt(w * probs[a] * probs[b] / n)[:, None],
-                                out=g)
-                    gram = g.T @ g
+                np.multiply(feats, np.sqrt(w * probs[a] * probs[b] / n)[:, None],
+                            out=g)
+                gram = g.T @ g
                 hess[a, :, b] = hess[b, :, a] = -gram
                 hess[a, :, a] += gram
                 hess[b, :, b] += gram
@@ -198,7 +184,6 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
         if np.array_equal(W_new, W):
             return W
         W, f, probs = W_new, f_new, probs_new
-        uniform = False
     raise IllConditioned(f"logistic fit not converged in {NEWTON_MAX_STEPS} steps")
 
 
@@ -228,9 +213,8 @@ def train_simplex(train, k):
     def probs(xq):
         # softmax by max-shift, exp and normalize
         z = logits(xq)
-        e = np.exp(z - _fold_classes(np.maximum, z.T)[:, None])
-        e /= _fold_classes(np.add, e.T)[:, None]
-        return e
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
     return StatisticFn("Simplex", k, probs, coef=W)
 
