@@ -44,12 +44,16 @@ def _gaussian_block(a, b, bandwidth, out):
 
 
 def rbf_features(x, centers, scale):
-    # Gaussian bumps at fixed centers plus a constant column
+    """Gaussian bumps at fixed centers plus a constant column, shape
+    (len(x), len(centers) + 1) in column-major order: built center-major, as
+    the transpose of a C-ordered (p, n) block, so each pass runs along the
+    samples.  (c - x)^2 and (x - c)^2 round alike, so the values are those
+    of the sample-major build."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    feats = np.empty((len(x), len(centers) + 1))
-    _gaussian_block(x, centers, scale, feats[:, :-1])
-    feats[:, -1] = 1.0
-    return feats
+    feats = np.empty((len(centers) + 1, len(x)))
+    _gaussian_block(centers, x, scale, feats[:-1])
+    feats[-1] = 1.0
+    return feats.T
 
 
 def feature_plan(x, n_centers=N_CENTERS):
@@ -124,9 +128,15 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
     representable step along the Newton direction lowers the loss.  The loss
     is strongly convex, so its minimizer does not depend on start.  Unit
     weights run the unweighted code path.  Weights must be finite and
-    non-negative; zero weights are allowed."""
+    non-negative; zero weights are allowed.  Labels must lie in 0..k-1, and
+    y and the weights must have one entry per row of feats."""
     n, p = feats.shape
+    y = class_labels(y, k)
+    if y.shape != (n,):
+        raise DataError(f"y has shape {y.shape}, expected ({n},)")
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    if w.shape != (n,):
+        raise DataError(f"sample_weight has shape {w.shape}, expected ({n},)")
     require_finite(sample_weight=w)
     if np.any(w < 0):
         raise DataError("sample_weight holds a negative weight")
@@ -137,7 +147,6 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
         if W.shape != (p, k):
             raise DataError(f"start has shape {W.shape}, expected ({p}, {k})")
         require_finite(start=W)
-    y = np.asarray(y, dtype=int)
     # Logits, probabilities and one-hot are class-major, (k, n): each class
     # pass reads one contiguous row.
     onehot = np.zeros((k, n))
@@ -154,7 +163,10 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
         return w @ ce / n + 0.5 * REG * np.sum(W * W), ez
 
     f, probs = state(W)
-    g = np.empty_like(feats)    # shared by all blocks: one per block was ~20% slower
+    # Shared by all blocks: one per block was ~20% slower.  It takes the
+    # order of feats, so on rbf_features' column-major block each scaling
+    # below runs along contiguous columns.
+    g = np.empty_like(feats)
     for _ in range(NEWTON_MAX_STEPS):
         grad = ((probs - onehot) * w) @ feats / n + REG * W.T     # (k, p)
         # Block (a, b) couples W[:, a] and W[:, b].  Off the diagonal it is

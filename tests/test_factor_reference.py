@@ -312,6 +312,10 @@ def test_gram_matches_reference_bit_for_bit(a, b, bandwidth):
 @settings(max_examples=200, deadline=None)
 @given(x=_POINTS, n_centers=st.integers(1, 40))
 def test_rbf_features_match_reference_bit_for_bit(x, n_centers):
+    """The sample-major reference's bits, in the column-major order the
+    features are built in: center-major, the transpose C-contiguous."""
     centers, scale = feature_plan(x, n_centers)
-    _assert_same_bits(rbf_features(x, centers, scale),
+    feats = rbf_features(x, centers, scale)
+    assert feats.T.flags["C_CONTIGUOUS"]
+    _assert_same_bits(np.ascontiguousarray(feats),
                       _reference_rbf_features(x, centers, scale))

@@ -1,7 +1,8 @@
 """The weighted multinomial logistic fit behind the simplex statistic and
 logistic ERM: convergence to the minimizer, agreement with a dense Newton
-reference from zero and from a warm start, typed failures at the cap and on
-bad weights or starts, and the runner's warm-started ERM fit."""
+reference from zero and from a warm start, independence of the feature
+layout, typed failures at the cap and on bad labels, weights or starts, and
+the runner's warm-started ERM fit."""
 
 import numpy as np
 import pytest
@@ -123,6 +124,50 @@ def test_bad_sample_weight_is_typed(bad, error):
     with pytest.raises(error):
         fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 3,
                                  sample_weight=w)
+
+
+@pytest.mark.parametrize("label", (-1, 3))
+def test_label_outside_the_classes_is_typed(label):
+    """A label -1 would train as class k - 1 by negative indexing; a label
+    k would index past the one-hot rows."""
+    x = np.linspace(0.0, 3.0, 60)
+    y = np.repeat(np.arange(3), 20)
+    y[5] = label
+    with pytest.raises(DataError, match="outside"):
+        fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 3)
+
+
+@pytest.mark.parametrize("n_labels, n_weights", ((59, None), (60, 59), (60, 1)))
+def test_labels_or_weights_not_matching_the_rows_are_typed(n_labels,
+                                                           n_weights):
+    x = np.linspace(0.0, 3.0, 60)
+    y = np.repeat(np.arange(3), 20)[:n_labels]
+    w = None if n_weights is None else np.ones(n_weights)
+    with pytest.raises(DataError, match="expected \\(60,\\)"):
+        fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 3,
+                                 sample_weight=w)
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+def test_fit_does_not_depend_on_feature_layout(weighted):
+    """rbf_features returns a column-major block; a C-ordered copy of the
+    same features gives the same W within 1e-13 relative (at most 2.8e-14
+    over the 12 weighted and unweighted ERM fits of seeds 101000-101005)
+    and the same predicted classes on the target."""
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 101000), 8000, 8000)
+    sp = split_alpha(ds, 0.5, seed=101000)
+    x, y = sp.erm_x, sp.erm_y
+    centers, scale = feature_plan(x)
+    feats = rbf_features(x, centers, scale)
+    w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
+    W_f = fit_multinomial_logistic(np.asfortranarray(feats), y, 4,
+                                   sample_weight=w)
+    W_c = fit_multinomial_logistic(np.ascontiguousarray(feats), y, 4,
+                                   sample_weight=w)
+    assert np.linalg.norm(W_c - W_f) <= 1e-13 * np.linalg.norm(W_f)
+    feats_q = rbf_features(ds.target_x, centers, scale)
+    np.testing.assert_array_equal(np.argmax(feats_q @ W_c, axis=1),
+                                  np.argmax(feats_q @ W_f, axis=1))
 
 
 @pytest.mark.parametrize("weighted", (False, True))
