@@ -20,8 +20,13 @@ class CategoricalWeightEstimate:
 
 
 def _svd_checked(T_hat):
+    """Thin SVD (U, s, Vt) of the finite d x k matrix T_hat, and whether T_hat
+    has full column rank k: k singular values (d >= k), the smallest above
+    RANK_TOL times the largest."""
     require_finite(T_hat=T_hat)
-    return np.linalg.svd(T_hat, full_matrices=False)
+    U, s, Vt = np.linalg.svd(T_hat, full_matrices=False)
+    full_rank = bool(len(s) == T_hat.shape[1] > 0 and s[-1] > RANK_TOL * s[0])
+    return U, s, Vt, full_rank
 
 
 def _shift_vector(mom):
@@ -38,11 +43,10 @@ def e1_direct(mom, alpha=None, n=None, delta=None):
     """
     T = np.asarray(mom.T_hat, dtype=float)
     d, k = T.shape
-    if d < k:
-        raise SingularOperator(f"need d >= k, got d={d} k={k}")
-    U, s, Vt = _svd_checked(T)
-    if s[0] <= 0 or s[-1] <= RANK_TOL * s[0]:
-        raise SingularOperator("rank-deficient forward operator", spectrum=s)
+    U, s, Vt, full_rank = _svd_checked(T)
+    if not full_rank:
+        raise SingularOperator(f"forward operator lacks full column rank k={k}",
+                               spectrum=s)
     r = _shift_vector(mom)
     theta = Vt.T @ ((U.T @ r) / s)
     diag = {
@@ -60,13 +64,13 @@ def check_burn_in_categorical(mom, d, k, alpha, n, delta):
     """True iff n meets the direct-estimator sample threshold.
 
     Uses the empirical pseudo-inverse norm of T_hat as a proxy for the
-    population quantity (which is not observable); near-singular operators give
-    an infinite threshold and hence False.
+    population quantity (which is not observable); an operator without full
+    column rank gives an infinite threshold and hence False.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    _, s, _ = _svd_checked(np.asarray(mom.T_hat, dtype=float))
-    if s[-1] <= RANK_TOL * max(s[0], 1e-300):
+    _, s, _, full_rank = _svd_checked(np.asarray(mom.T_hat, dtype=float))
+    if not full_rank:
         return False
     inv_norm = 1.0 / s[-1]
     required = (32.0 / alpha) * inv_norm ** 2 * d * math.log(6.0 * (d + k) / delta)
@@ -101,12 +105,12 @@ def _objective(T, b, delta_T, theta):
 
 def e2_regularized(mom, delta_T, theta_cap=10.0):
     """Regularized estimate; delta_T is the operator confidence radius weight."""
-    if delta_T < 0:
+    if not delta_T >= 0:
         raise ValueError("delta_T must be nonnegative")
-    if theta_cap <= 0:
+    if not theta_cap > 0:
         raise ValueError("theta_cap must be positive")
     T = np.asarray(mom.T_hat, dtype=float)
-    U, s, Vt = _svd_checked(T)
+    U, s, Vt, full_rank = _svd_checked(T)
     b = _shift_vector(mom)
     c = U.T @ b
     smax = float(s[0]) if len(s) else 0.0
@@ -174,8 +178,8 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
     diag = {
         "sigma_min": float(s[-1]),
         "sigma_max": smax,
-        # inf where check_burn_in_categorical finds the operator rank deficient
-        "op_inv_norm": float(1.0 / s[-1]) if rank_mask[-1] else float("inf"),
+        # inf where E1 raises and check_burn_in_categorical returns False
+        "op_inv_norm": float(1.0 / s[-1]) if full_rank else float("inf"),
         "objective": _objective(T, b, delta_T, theta),
         "iterations": evals,
         "solution_path": how,

@@ -1,6 +1,7 @@
 """Command line entry point: run experiment configs, write CSV results."""
 
 import argparse
+import logging
 import sys
 
 import numpy as np
@@ -11,6 +12,8 @@ from .experiments import load_config, rows_to_csv, run_experiment
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+logger = logging.getLogger("shiftweight")
 
 
 def _build_parser():
@@ -27,8 +30,22 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Runs the parsed command with the shiftweight logger printing to stderr
+    for its duration: progress lines at INFO, or only warnings with --quiet."""
     args = _build_parser().parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(handler.level)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
+
+def _run(args):
     seeds = None
     if args.seeds is not None:
         try:
@@ -44,14 +61,13 @@ def main(argv=None):
         return EXIT_CONFIG
 
     try:
-        rows = run_experiment(cfg, quiet=args.quiet)
+        rows = run_experiment(cfg)
     except (ShiftWeightError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
     if cfg.out:
-        if not args.quiet:
-            print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
+        logger.info("wrote %d rows to %s", len(rows), cfg.out)
     else:
         sys.stdout.write(rows_to_csv(rows))
     return EXIT_OK

@@ -21,7 +21,7 @@ def categorical_radii(d, k, alpha, n, m, delta):
     corresponding estimation error with probability at least 1 - delta.
     """
     _check_delta(delta)
-    if alpha * n <= 0 or m <= 0:
+    if not (alpha * n > 0 and m > 0):
         raise ValueError("sample counts must be positive")
     an = alpha * n
     delta_p = math.sqrt(d / an * math.log(2.0 * d / delta))
@@ -37,9 +37,9 @@ def functional_radii(alpha, n, m, delta, kappa_bar=1.0):
     delta_p and delta_T share one formula; only the target radius sees m.
     """
     _check_delta(delta)
-    if alpha * n <= 0 or m <= 0:
+    if not (alpha * n > 0 and m > 0):
         raise ValueError("sample counts must be positive")
-    if kappa_bar < 0:
+    if not kappa_bar >= 0:
         raise ValueError("kappa_bar must be nonnegative")
     an = alpha * n
     delta_p = 2.0 * kappa_bar * math.sqrt(2.0 / an * math.log(2.0 / delta))
@@ -56,10 +56,13 @@ def composite_epsilon(radii, proxy_inv_norm, theta_max):
     2 * ||T^-1|| * (delta_q + delta_p + theta_max * delta_T) reproduces both
     published bound shapes: the functional radii carry an internal factor 2, so
     this equals the prefactor-4 form of the normed-label-space bound.
+    The proxy may be inf (a rank-deficient operator), giving an infinite bound.
     """
     delta_p, delta_q, delta_T = radii
-    if min(delta_p, delta_q, delta_T) < 0:
+    if not all(r >= 0 for r in radii):
         raise ValueError("radii must be nonnegative")
+    if not (proxy_inv_norm > 0 and theta_max > 0):
+        raise ValueError("proxy_inv_norm and theta_max must be positive")
     return 2.0 * proxy_inv_norm * (delta_q + delta_p + theta_max * delta_T)
 
 

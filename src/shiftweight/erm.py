@@ -30,7 +30,6 @@ class FittedModel:
 @dataclass
 class WeightedERMResult:
     model: FittedModel
-    gamma: float            # recorded blend used to build the weights, if known
     train_weighted_risk: float
 
 
@@ -61,13 +60,14 @@ def _per_sample_weights(omega, y):
     return w
 
 
-def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
+def weighted_erm(erm_split, omega, family="logistic", k=None,
                  bandwidth=0.9, ridge=1e-2, start=None):
     """Minimize the weighted surrogate over the chosen family.
 
     omega is a callable evaluated at the labels or, for logistic only, a
-    length-k weight vector indexed by class label.  gamma = 0 weights are all
-    ones and run the identical code path as unweighted training.  start, for
+    length-k weight vector indexed by class label; any blend (blend_gamma,
+    evaluate_weight) is already in omega.  Weights that are all ones run the
+    identical code path as unweighted training.  start, for
     logistic only, is a (p, k) Newton start for the softmax weights, such as
     the simplex statistic's coef on the same covariates; the fitted model
     does not depend on it beyond rounding.
@@ -105,7 +105,7 @@ def weighted_erm(erm_split, omega, family="logistic", k=None, gamma=None,
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    return WeightedERMResult(model, gamma, risk)
+    return WeightedERMResult(model, risk)
 
 
 def oracle_target_risk(model, target_x, target_y):

@@ -1,6 +1,6 @@
 """Seeded experiment sweeps over the synthetic generators, with CSV output."""
 
-import sys
+import logging
 import time
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
@@ -25,6 +25,8 @@ CSV_COLUMNS = ("scenario", "estimator", "statistic_mode", "k_or_bandwidth",
                "n", "m", "seed", "relative_error", "epsilon_delta",
                "burn_in_ok", "target_risk", "wall_ms")
 GRID_POINTS = 100           # evaluation grid on [0, 1] for functional errors
+
+logger = logging.getLogger("shiftweight")
 
 
 @dataclass
@@ -233,7 +235,7 @@ def _run_categorical_cell(cfg, k, n, m, seed):
     if cfg.run_erm:
         weights = blend_gamma(est.theta_hat, cfg.gamma)
         fit = weighted_erm((sp.erm_x, sp.erm_y), weights, "logistic", k=k,
-                           gamma=cfg.gamma, start=g.coef)
+                           start=g.coef)
         target_risk = oracle_target_risk(fit.model, ds.target_x, ds.target_y_oracle)
     return rel, rep.epsilon_delta, burn, target_risk
 
@@ -264,16 +266,16 @@ def _run_functional_cell(cfg, n, m, seed):
     if cfg.run_erm:
         fit = weighted_erm((sp.erm_x, sp.erm_y),
                            lambda ys: evaluate_weight(est, cfg.gamma, ys),
-                           "kernel_ridge", gamma=cfg.gamma,
-                           bandwidth=cfg.bandwidth)
+                           "kernel_ridge", bandwidth=cfg.bandwidth)
         target_risk = oracle_target_risk(fit.model, ds.target_x, ds.target_y_oracle)
     return rel, rep.epsilon_delta, burn, target_risk
 
 
-def run_experiment(cfg, quiet=True):
+def run_experiment(cfg):
     """Execute every (sweep value, seed) cell; returns run rows plus one
     summary row per cell: medians over seeds, except burn_in_ok, which holds
-    only when every seed passes.  Writes cfg.out when set."""
+    only when every seed passes.  Logs one INFO line per cell to the
+    shiftweight logger.  Writes cfg.out when set."""
     rows = []
     for label, n in _cells(cfg):
         m = cfg.m if cfg.m is not None else n
@@ -285,9 +287,8 @@ def run_experiment(cfg, quiet=True):
             else:
                 rel, eps, burn, trisk = _run_functional_cell(cfg, n, m, seed)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            if not quiet:
-                print(f"[{cfg.scenario}] cell={label:g} n={n} seed={seed} "
-                      f"rel_err={rel:.4g}", file=sys.stderr)
+            logger.info("[%s] cell=%g n=%d seed=%d rel_err=%.4g",
+                        cfg.scenario, label, n, seed, rel)
             rows.append({
                 "scenario": cfg.scenario, "estimator": cfg.estimator,
                 "statistic_mode": cfg.statistic_mode, "k_or_bandwidth": label,

@@ -69,7 +69,7 @@ def e4_regularized(km, lam):
     (B^T B + (lam + JITTER) I) a = B^T b in factor coordinates, in closed form
     on the SVD B = U diag(s) V^T: a = V (U^T b / (s + (lam + JITTER) / s)).
     A zero singular value drops its direction."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     U, s, Vt = np.linalg.svd(km.B, full_matrices=False)
     with np.errstate(divide="ignore"):

@@ -76,7 +76,7 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     The anchors are the estimation-split labels; target points enter only
     through the target rows of the u-image factor.
     """
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     x, y = est_split
     x = np.asarray(x, dtype=float)

@@ -218,8 +218,7 @@ def test_criterion_09_weighted_erm_beats_unweighted():
         est = e2_regularized(mom, radius)
         for gamma in (0.0, 1.0):
             weights = blend_gamma(est.theta_hat, gamma)
-            fit = weighted_erm((sp.erm_x, sp.erm_y), weights, k=4,
-                               gamma=gamma)
+            fit = weighted_erm((sp.erm_x, sp.erm_y), weights, k=4)
             risks[gamma].append(oracle_target_risk(
                 fit.model, ds.target_x, ds.target_y_oracle))
     med0 = float(np.median(risks[0.0]))

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftweight import (NonFiniteInput, SingularOperator,
-                         check_burn_in_categorical, e1_direct, e2_regularized)
+                         check_burn_in_categorical, confidence_report,
+                         e1_direct, e2_regularized)
 from shiftweight.categorical import _objective
 from shiftweight.moments import MomentEstimates
 
@@ -281,6 +282,22 @@ def test_e2_op_inv_norm_follows_the_burn_in_rank_rule():
     diag = e2_regularized(singular, 0.01).diagnostics
     assert diag["sigma_min"] == 0.0 and diag["op_inv_norm"] == math.inf
     assert not check_burn_in_categorical(singular, 2, 2, 0.5, 10 ** 9, 0.1)
+
+
+def test_wide_operator_is_rank_deficient_under_one_rule():
+    """d = 2 < k = 3: theta is unidentified along the null space of T, so E1
+    raises, E2's op_inv_norm is inf, burn-in never holds and the confidence
+    bound is infinite, although all d singular values are well above the
+    cutoff."""
+    mom = _mom([[0.6, 0.1, 0.3], [0.1, 0.7, 0.2]], [0.05, -0.05])
+    with pytest.raises(SingularOperator):
+        e1_direct(mom)
+    op_inv_norm = e2_regularized(mom, 0.01).diagnostics["op_inv_norm"]
+    assert op_inv_norm == math.inf
+    assert not check_burn_in_categorical(mom, 2, 3, 0.5, 10 ** 6, 0.1)
+    rep = confidence_report("categorical", 0.5, 10 ** 6, 10 ** 6, 0.1,
+                            op_inv_norm, 10.0, d=2, k=3)
+    assert rep.epsilon_delta == math.inf
 
 
 def brentq_reference(T, b, delta_T):

@@ -1,6 +1,7 @@
 """Entry-point behavior: exit codes, output routing, overrides."""
 
 import csv
+import logging
 
 import pytest
 
@@ -129,3 +130,22 @@ def test_progress_lines_only_without_quiet(tmp_path, capsys):
     capsys.readouterr()
     main(["run", _write(tmp_path, GOOD), "--out", str(out), "--quiet"])
     assert capsys.readouterr().err == ""
+
+
+def test_quiet_keeps_warnings_and_main_leaves_the_logger_as_it_was(
+        tmp_path, capsys, monkeypatch):
+    logger = logging.getLogger("shiftweight")
+    handlers, level = list(logger.handlers), logger.level
+    real = experiments.run_experiment
+
+    def warning_run(cfg):
+        logger.warning("clamped 3 negative importance weights to 0 for ERM")
+        return real(cfg)
+
+    monkeypatch.setattr("shiftweight.cli.run_experiment", warning_run)
+    out = tmp_path / "r.csv"
+    assert main(["run", _write(tmp_path, GOOD), "--out", str(out),
+                 "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == \
+        "clamped 3 negative importance weights to 0 for ERM\n"
+    assert logger.handlers == handlers and logger.level == level

@@ -123,13 +123,6 @@ def test_kernel_ridge_rejects_a_newton_start():
                      family="kernel_ridge", start=np.zeros((33, 2)))
 
 
-def test_gamma_is_recorded_metadata():
-    y = _exact_count_labels([8, 8])
-    x = _clustered(y, seed=7)
-    assert weighted_erm((x, y), np.ones(2), k=2, gamma=0.7).gamma == 0.7
-    assert weighted_erm((x, y), np.ones(2), k=2).gamma is None
-
-
 def test_oracle_risk_constant_classifier_exact_fraction():
     model = FittedModel("logistic",
                         lambda xq: np.zeros(len(xq), dtype=int))

@@ -1,10 +1,13 @@
-"""Bad inputs to the statistic fits and weighted ERM fail where they enter,
-with the package's typed errors."""
+"""Bad inputs to the statistic fits, weighted ERM, the solvers and the radii
+fail where they enter, with the package's typed errors."""
 
 import numpy as np
 import pytest
 
-from shiftweight import (DataError, IllConditioned, NonFiniteInput,
+from shiftweight import (DataError, IllConditioned, MomentEstimates,
+                         NonFiniteInput, categorical_radii, composite_epsilon,
+                         confidence_report, e2_regularized, e4_regularized,
+                         estimate_kernel_moments, functional_radii,
                          train_hypercube, train_kernel_regressor,
                          train_simplex, weighted_erm)
 from shiftweight.predictors import _safe_spd_solve, gaussian_pivoted_cholesky
@@ -79,7 +82,8 @@ def test_kernel_ridge_erm_rejects_a_class_indexed_omega():
 
 
 @pytest.mark.parametrize("params", ({"ridge": -1.0}, {"ridge": 0.0},
-                                    {"bandwidth": -0.5}, {"bandwidth": 0.0}))
+                                    {"bandwidth": -0.5}, {"bandwidth": 0.0},
+                                    {"ridge": np.nan}, {"bandwidth": np.nan}))
 def test_kernel_ridge_erm_rejects_nonpositive_hyperparameters(params):
     x, y = _sample()
     with pytest.raises(ValueError, match="must be positive"):
@@ -149,3 +153,51 @@ def test_factor_rejects_non_finite_points(bad):
 def test_factor_rejects_nonpositive_bandwidth(bandwidth):
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         gaussian_pivoted_cholesky(np.array([0.0, 1.0]), bandwidth)
+
+
+# ===================== NaN at the scalar entry checks =====================
+
+NAN = float("nan")
+
+
+def _e2_at(delta_T, theta_cap=10.0):
+    mom = MomentEstimates(np.eye(2), np.zeros(2), np.array([0.1, -0.1]), 100, 100)
+    return e2_regularized(mom, delta_T, theta_cap)
+
+
+def _e4_at(lam):
+    x = np.linspace(0.0, 1.0, 30)
+    km = estimate_kernel_moments((x, x), x[::-1], lambda v: v, bandwidth=0.5)
+    return e4_regularized(km, lam)
+
+
+NAN_ENTRIES = {
+    "categorical_radii-alpha": lambda: categorical_radii(2, 2, NAN, 100, 100, 0.1),
+    "categorical_radii-n": lambda: categorical_radii(2, 2, 0.5, NAN, 100, 0.1),
+    "categorical_radii-m": lambda: categorical_radii(2, 2, 0.5, 100, NAN, 0.1),
+    "functional_radii-alpha": lambda: functional_radii(NAN, 100, 100, 0.1),
+    "functional_radii-m": lambda: functional_radii(0.5, 100, NAN, 0.1),
+    "functional_radii-kappa_bar": lambda: functional_radii(0.5, 100, 100, 0.1,
+                                                           kappa_bar=NAN),
+    "composite_epsilon-radius": lambda: composite_epsilon((0.1, NAN, 0.3),
+                                                          1.0, 1.0),
+    "confidence_report-categorical-proxy": lambda: confidence_report(
+        "categorical", 0.5, 800, 800, 0.1, NAN, 1.0, d=2, k=2),
+    "confidence_report-categorical-theta_max": lambda: confidence_report(
+        "categorical", 0.5, 800, 800, 0.1, 1.0, NAN, d=2, k=2),
+    "confidence_report-functional-proxy": lambda: confidence_report(
+        "functional", 0.5, 800, 800, 0.1, NAN, 1.0),
+    "confidence_report-functional-theta_max": lambda: confidence_report(
+        "functional", 0.5, 800, 800, 0.1, 1.0, NAN),
+    "e2_regularized-delta_T": lambda: _e2_at(NAN),
+    "e2_regularized-theta_cap": lambda: _e2_at(0.1, theta_cap=NAN),
+    "e4_regularized-lam": lambda: _e4_at(NAN),
+}
+
+
+@pytest.mark.parametrize("call", NAN_ENTRIES.values(), ids=NAN_ENTRIES.keys())
+def test_nan_fails_the_entry_checks(call):
+    """NaN compares false both ways, so each check is written to pass only
+    on a true comparison: a NaN raises ValueError instead of flowing on."""
+    with pytest.raises(ValueError):
+        call()

@@ -222,7 +222,7 @@ def _erm_steps(monkeypatch, seed, drop_start):
     cfg = build_config({"scenario": "single_run", "estimator": "E2",
                         "statistic_mode": "simplex", "n": 8000,
                         "seeds": (seed,), "reg_scale": 0.1, "run_erm": True})
-    experiments.run_experiment(cfg, quiet=True)
+    experiments.run_experiment(cfg)
     assert len(steps) == 1
     return steps[0]
 
