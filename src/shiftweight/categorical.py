@@ -65,10 +65,13 @@ def check_burn_in_categorical(mom, d, k, alpha, n, delta):
 
     Uses the empirical pseudo-inverse norm of T_hat as a proxy for the
     population quantity (which is not observable); an operator without full
-    column rank gives an infinite threshold and hence False.
+    column rank gives an infinite threshold and hence False.  A NaN alpha or
+    n raises ValueError.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not (alpha > 0 and n >= 0):
+        raise ValueError("alpha must be positive and n nonnegative")
     _, s, _, full_rank = _svd_checked(np.asarray(mom.T_hat, dtype=float))
     if not full_rank:
         return False

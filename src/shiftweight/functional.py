@@ -129,7 +129,13 @@ def operator_inverse_norm_proxy(km):
     generalized eigenvalues of (S, K_yy) on range phi, with S = phi B^T B phi^T;
     there they are the eigenvalues of B^T B, i.e. sigma(B)^2.  The proxy is
     1 / sigma_min over the singular values of B with sigma^2 > EIG_TOL *
-    sigma_max^2 (the cutoff of e3_direct), and inf when none is positive.
+    sigma_max^2, and inf when none is positive.  That cutoff is applied in
+    the RKHS metric, sigma(B)^2, while e3_direct applies EIG_TOL to the
+    eigenvalues of its core R B^T B R^T, the coefficient metric.  The two
+    rules keep different directions: on the runner's kernel cells (n = 500
+    to 32000) the proxy keeps a 4th direction, at 2.0e-9 to 3.8e-9 of the
+    largest sigma^2, that E3 drops, so the proxy is 1 / sigma_4 of B where
+    E3 inverts only three directions.
     """
     s = np.linalg.svd(km.B, compute_uv=False)
     smax = float(s[0]) if len(s) else 0.0
@@ -140,9 +146,15 @@ def operator_inverse_norm_proxy(km):
 
 
 def check_burn_in_functional(n, alpha, delta, kappa_bar, op_inv_norm_proxy):
-    """True iff n meets the direct-estimator sample threshold for the kernel path."""
+    """True iff n meets the direct-estimator sample threshold for the kernel
+    path.  An infinite proxy gives an infinite threshold and hence False; a
+    NaN input raises ValueError."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not (alpha > 0 and n >= 0):
+        raise ValueError("alpha must be positive and n nonnegative")
+    if not (kappa_bar >= 0 and op_inv_norm_proxy >= 0):
+        raise ValueError("kappa_bar and the proxy must be nonnegative")
     required = (32.0 / alpha) * op_inv_norm_proxy ** 2 * kappa_bar ** 2 \
         * math.log(6.0 / delta)
     return n >= required

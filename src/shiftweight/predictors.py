@@ -1,7 +1,8 @@
 """Statistic functions g (categorical) and u (regression) trained on source data.
 
 These feed the moment estimators; they are not the final ERM model.  Training is
-deterministic: fixed feature construction, a zero or given start, full-batch steps.
+deterministic: fixed feature construction, a least-squares or given start,
+full-batch steps.
 """
 
 import math
@@ -109,9 +110,28 @@ NEWTON_TOL = 1e-14          # stop once the Newton decrement is at most this
 NEWTON_MAX_STEPS = 50
 
 
+def _least_squares_start(feats, onehot, w, g):
+    """Logits near the minimizer of the weighted logistic loss, for a Newton
+    start.  The w-weighted one-hot least squares F W_ls ~ onehot estimates
+    the reweighted class posterior, so no class-weight term is needed; the
+    start regresses log max(F W_ls, 1/n) on F with the same Gram.  Both
+    solves take train_hypercube's ridge jitter, 1e-8 max(tr/p, 1).  The
+    weighted features sqrt(w) F are written into g, the caller's n x p
+    scratch, so no copy of the features is made."""
+    n, p = feats.shape
+    sw = np.sqrt(w)
+    np.multiply(feats, sw[:, None], out=g)
+    gram = g.T @ g
+    gram += 1e-8 * max(float(np.trace(gram)) / p, 1.0) * np.eye(p)
+    W_ls = _safe_spd_solve(gram, ((onehot * sw) @ g).T)
+    logp = np.log(np.maximum(W_ls.T @ feats.T, 1.0 / n))      # (k, n)
+    return _safe_spd_solve(gram, ((logp * sw) @ g).T)
+
+
 def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
     """Minimizes sum_i w_i CE_i / n + REG/2 ||W||^2 over the (p, k) softmax
-    weights W by damped Newton from start (zeros when None): each step is
+    weights W by damped Newton from start (when None, the least-squares
+    logits of _least_squares_start; pass zeros to start there): each step is
     halved until the loss drops by a quarter of the decrement g^T H^-1 g.
     The fit stops once that decrement is at most NEWTON_TOL, or once the
     point the halving accepts is W itself, bit for bit: then no
@@ -130,9 +150,7 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
     require_finite(sample_weight=w)
     if np.any(w < 0):
         raise DataError("sample_weight holds a negative weight")
-    if start is None:
-        W = np.zeros((p, k))
-    else:
+    if start is not None:
         W = np.array(start, dtype=float)
         if W.shape != (p, k):
             raise DataError(f"start has shape {W.shape}, expected ({p}, {k})")
@@ -141,6 +159,13 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
     # pass reads one contiguous row.
     onehot = np.zeros((k, n))
     onehot[y, np.arange(n)] = 1.0
+    # Shared by all Hessian blocks (one per block was 14% slower) and by the
+    # least-squares start.  It takes the order of feats, so on
+    # rbf_features' column-major block each scaling runs along contiguous
+    # columns.
+    g = np.empty_like(feats)
+    if start is None:
+        W = _least_squares_start(feats, onehot, w, g)
 
     def state(W):
         """Loss at W and the softmax probabilities, from one pass over the logits."""
@@ -153,10 +178,6 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
         return w @ ce / n + 0.5 * REG * np.sum(W * W), ez
 
     f, probs = state(W)
-    # Shared by all blocks: one per block was 14% slower.  It takes the
-    # order of feats, so on rbf_features' column-major block each scaling
-    # below runs along contiguous columns.
-    g = np.empty_like(feats)
     for _ in range(NEWTON_MAX_STEPS):
         grad = ((probs - onehot) * w) @ feats / n + REG * W.T     # (k, p)
         # Block (a, b) couples W[:, a] and W[:, b].  Off the diagonal it is

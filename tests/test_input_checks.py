@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from shiftweight import (DataError, IllConditioned, MomentEstimates,
-                         NonFiniteInput, categorical_radii, composite_epsilon,
-                         confidence_report, e2_regularized, e4_regularized,
-                         estimate_kernel_moments, functional_radii,
-                         train_hypercube, train_kernel_regressor,
-                         train_simplex, weighted_erm)
+                         NonFiniteInput, categorical_radii,
+                         check_burn_in_categorical, check_burn_in_functional,
+                         composite_epsilon, confidence_report, e2_regularized,
+                         e4_regularized, estimate_kernel_moments,
+                         functional_radii, train_hypercube,
+                         train_kernel_regressor, train_simplex, weighted_erm)
 from shiftweight.predictors import _safe_spd_solve, gaussian_pivoted_cholesky
 
 
@@ -201,3 +202,39 @@ def test_nan_fails_the_entry_checks(call):
     on a true comparison: a NaN raises ValueError instead of flowing on."""
     with pytest.raises(ValueError):
         call()
+
+
+def _burn_in_mom(T):
+    return MomentEstimates(np.asarray(T, dtype=float), np.zeros(2),
+                           np.zeros(2), 100, 100)
+
+
+BURN_IN_NAN = {
+    "categorical-alpha": lambda: check_burn_in_categorical(
+        _burn_in_mom(np.eye(2)), 2, 2, NAN, 10 ** 9, 0.1),
+    "categorical-n": lambda: check_burn_in_categorical(
+        _burn_in_mom(np.eye(2)), 2, 2, 0.5, NAN, 0.1),
+    "functional-n": lambda: check_burn_in_functional(NAN, 0.5, 0.1, 1.0, 2.0),
+    "functional-alpha": lambda: check_burn_in_functional(10 ** 9, NAN, 0.1,
+                                                         1.0, 2.0),
+    "functional-kappa_bar": lambda: check_burn_in_functional(10 ** 9, 0.5, 0.1,
+                                                             NAN, 2.0),
+    "functional-proxy": lambda: check_burn_in_functional(10 ** 9, 0.5, 0.1,
+                                                         1.0, NAN),
+}
+
+
+@pytest.mark.parametrize("call", BURN_IN_NAN.values(), ids=BURN_IN_NAN.keys())
+def test_burn_in_checks_reject_nan(call):
+    """A NaN threshold made n >= required False, so a NaN input read as a
+    silent "burn-in fails"; it now raises like the other entry checks."""
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_burn_in_checks_still_fail_on_an_infinite_proxy_or_rank_loss():
+    """An infinite proxy and a rank-deficient T_hat are answers, not bad
+    inputs: the threshold is infinite and the check returns False."""
+    assert check_burn_in_functional(10 ** 12, 0.5, 0.1, 1.0, np.inf) is False
+    singular = _burn_in_mom([[1.0, 1.0], [1.0, 1.0]])
+    assert check_burn_in_categorical(singular, 2, 2, 0.5, 10 ** 12, 0.1) is False

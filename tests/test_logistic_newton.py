@@ -1,8 +1,10 @@
 """The weighted multinomial logistic fit behind the simplex statistic and
 logistic ERM: convergence to the minimizer, agreement with a dense Newton
-reference from zero and from a warm start, independence of the feature
-layout, typed failures at the cap and on bad labels, weights or starts, and
-the runner's warm-started ERM fit."""
+reference from the default least-squares start and from a warm start,
+independence of the feature layout, typed failures at the cap and on bad
+labels, weights or starts, and the runner's prior-shifted ERM start."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -197,21 +199,25 @@ def test_fit_raises_instead_of_returning_a_capped_iterate(monkeypatch):
         train_simplex((x, y), 3)
 
 
-def _erm_steps(monkeypatch, seed, drop_start):
+def _erm_steps(monkeypatch, seed, start):
     """Newton steps of the ERM fit in the runner's E2 simplex cell at
-    n = m = 8000, counted as solves inside weighted_erm; drop_start runs
-    that fit from zero instead."""
+    n = m = 8000.  Each Newton step solves one system with a vector right
+    side; the least-squares start's two solves take one column per class
+    and are not counted.  start "runner" keeps the runner's start, "none"
+    passes None (the least-squares start) and "zeros" a zero start."""
     solves = [0]
     steps = []
     real_solve, real_erm = predictors._safe_spd_solve, experiments.weighted_erm
 
     def counting_solve(a, b):
-        solves[0] += 1
+        solves[0] += np.ndim(b) == 1
         return real_solve(a, b)
 
     def erm(*args, **kwargs):
-        if drop_start:
+        if start == "none":
             kwargs["start"] = None
+        elif start == "zeros":
+            kwargs["start"] = np.zeros_like(kwargs["start"])
         before = solves[0]
         fit = real_erm(*args, **kwargs)
         steps.append(solves[0] - before)
@@ -223,6 +229,7 @@ def _erm_steps(monkeypatch, seed, drop_start):
                         "statistic_mode": "simplex", "n": 8000,
                         "seeds": (seed,), "reg_scale": 0.1, "run_erm": True})
     experiments.run_experiment(cfg)
+    monkeypatch.undo()      # the next call wraps the real functions again
     assert len(steps) == 1
     return steps[0]
 
@@ -230,8 +237,56 @@ def _erm_steps(monkeypatch, seed, drop_start):
 @pytest.mark.parametrize("seed", (101000, 101001, 101002))
 def test_runner_erm_fit_starts_from_the_simplex_statistic(monkeypatch, seed):
     """The runner starts its logistic ERM fit from the simplex statistic's
-    weights, the gamma = 0 solution of the same problem, and that start
-    saves Newton steps over a start from zero."""
-    warm = _erm_steps(monkeypatch, seed, drop_start=False)
-    cold = _erm_steps(monkeypatch, seed, drop_start=True)
-    assert warm < cold
+    weights, the gamma = 0 solution of the same problem, shifted by the log
+    class weights.  That start saves Newton steps over the least-squares
+    start, which saves steps over a zero start (6/5/3 < 7/6/7 < 11/10/10
+    on these seeds)."""
+    shifted = _erm_steps(monkeypatch, seed, "runner")
+    least_squares = _erm_steps(monkeypatch, seed, "none")
+    zeros = _erm_steps(monkeypatch, seed, "zeros")
+    assert shifted < least_squares < zeros
+
+
+def _runner_erm_start(monkeypatch, config):
+    """Runs one categorical cell with ERM; returns the simplex statistic's
+    coef, the class weights and the start the runner gave the ERM fit."""
+    seen = {}
+    real_train, real_erm = experiments.train_simplex, experiments.weighted_erm
+
+    def train(*args):
+        seen["g"] = real_train(*args)
+        return seen["g"]
+
+    def erm(split, omega, *args, **kwargs):
+        seen["weights"], seen["start"] = omega, kwargs["start"]
+        return real_erm(split, omega, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train_simplex", train)
+    monkeypatch.setattr(experiments, "weighted_erm", erm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        experiments.run_experiment(build_config(
+            {"scenario": "single_run", "statistic_mode": "simplex",
+             "run_erm": True, **config}))
+    return seen["g"].coef, seen["weights"], seen["start"]
+
+
+def test_runner_shifts_the_erm_start_by_the_log_weights(monkeypatch):
+    """With every class weight positive, the start is coef with log(weights)
+    added to the intercept row, the last; coef itself is left as it was."""
+    coef, weights, start = _runner_erm_start(
+        monkeypatch, {"estimator": "E1", "n": 2000, "seeds": (0,)})
+    assert np.all(weights > 0) and np.any(weights != 1.0)
+    expected = coef.copy()
+    expected[-1] += np.log(weights)
+    np.testing.assert_array_equal(start, expected)
+
+
+def test_runner_skips_the_shift_when_a_weight_is_not_positive(monkeypatch):
+    """E1 at n = 60, seed 0, estimates one class weight below zero, where
+    the log is undefined: the ERM fit starts from coef unshifted and the
+    cell runs without a RuntimeWarning."""
+    coef, weights, start = _runner_erm_start(
+        monkeypatch, {"estimator": "E1", "n": 60, "seeds": (0,)})
+    assert weights.min() <= 0
+    assert start is coef

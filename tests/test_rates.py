@@ -1,12 +1,15 @@
-"""The paper's n^-1/2 rate on the categorical path, in a regime where it is
-live: E1 with the hypercube statistic at noise_std 0.1, seeds 0-5,
+"""The paper's n^-1/2 rate.  On the categorical path, in a regime where it
+is live: E1 with the hypercube statistic at noise_std 0.1, seeds 0-5,
 n = m in {2000, 8000, 32000, 128000}, no ERM (about 1.6 s for the 24 cells
 on one core).  burn_in_ok first holds at n = 128000 there.  E2 takes the
 kink in that regime at reg_scale 0.1 and gives the same numbers, bit for
-bit, so these checks cover it too.
+bit, so these checks cover it too.  On the kernel path, where the bound is
+vacuous at every affordable n, a rate test is the check that can fail: E3
+at the runner's defaults, seeds 0-19, n = m in {500, 2000, 8000}, no ERM
+(about 0.2 s for the 60 cells).
 
-The bands come from the spread over seeds 0-119 (measured on a 2-core
-x86-64 machine, one BLAS thread)."""
+The bands come from the spread over seeds 0-119 (categorical) and 0-399
+(kernel), measured on a 2-core x86-64 machine, one BLAS thread."""
 
 import numpy as np
 import pytest
@@ -50,4 +53,25 @@ def test_median_relative_error_falls_with_n(cells):
     medians = [np.median([cells[seed, n]["relative_error"] for seed in SEEDS])
                for n in NS]
     slope = _log_log_slope(medians)
+    assert slope <= -0.25, f"slope {slope:.3f}, medians {medians}"
+
+
+KERNEL_NS = (500, 2000, 8000)
+KERNEL_SEEDS = tuple(range(20))
+
+
+def test_e3_median_relative_error_falls_with_n():
+    """The log-log slope of E3's across-seed median relative_error against n
+    is at most -0.25.  Seeds 0-19 give medians 0.127, 0.051 and 0.025, a
+    slope of -0.59.  Over the 20 disjoint groups of twenty seeds in 0-399
+    the slope runs from -0.59 to -0.31 (median -0.43), so the gate holds on
+    every group; per-seed slopes run from -0.97 to +0.39.  An estimator that
+    stopped converging would give a slope near 0."""
+    cfg = build_config({"scenario": "functional_vs_n", "estimator": "E3",
+                        "sweep": KERNEL_NS, "seeds": KERNEL_SEEDS})
+    rel = {(r["seed"], r["n"]): r["relative_error"]
+           for r in run_experiment(cfg) if r["seed"] != "median"}
+    medians = [np.median([rel[seed, n] for seed in KERNEL_SEEDS])
+               for n in KERNEL_NS]
+    slope = float(np.polyfit(np.log(KERNEL_NS), np.log(medians), 1)[0])
     assert slope <= -0.25, f"slope {slope:.3f}, medians {medians}"
