@@ -77,7 +77,7 @@ def check_burn_in_categorical(mom, d, k, alpha, n, delta):
         return False
     inv_norm = 1.0 / s[-1]
     required = (32.0 / alpha) * inv_norm ** 2 * d * math.log(6.0 * (d + k) / delta)
-    return n >= required
+    return bool(n >= required)
 
 
 # ===================== E2: regularized program =====================

@@ -7,6 +7,9 @@ moment residual is ||B a - b|| with B = psi_s^T phi / N and
 b = mean(psi_t) - mean(psi_s), built once as KernelMoments.B and .b, so every
 solve is r x r.  Estimates keep their coefficients on the pivot anchors,
 beta_P = phi[pivots]^-T a.
+
+Both estimators and the bound's proxy read one thin SVD B = U diag(s) V^T and
+one rank rule: a direction is kept when s^2 > EIG_TOL * s_max^2.
 """
 
 import math
@@ -17,7 +20,7 @@ import numpy as np
 from .errors import SingularOperator
 from .predictors import gaussian_gram, pivot_coefficients
 
-EIG_TOL = 1e-10             # relative spectral cutoff for the direct inverse
+EIG_TOL = 2e-7              # relative cutoff on sigma(B)^2, see _spectrum
 JITTER = 1e-12              # ridge shift E4 adds to lam
 
 
@@ -62,6 +65,14 @@ def _estimate(km, a, method, lam, diag):
                                     km.bandwidth, diag)
 
 
+def _spectrum(km):
+    """The thin SVD B = U diag(s) Vt, s descending, and the mask of the kept
+    directions, s^2 > EIG_TOL * s_max^2 (none when B is zero)."""
+    U, s, Vt = np.linalg.svd(km.B, full_matrices=False)
+    keep = s * s > EIG_TOL * s.max(initial=0.0) ** 2
+    return U, s, Vt, keep
+
+
 def e4_regularized(km, lam):
     """Ridge-regularized estimate on the anchor span; lam equal to the operator
     confidence radius gives the default high-probability estimator, other lam
@@ -71,7 +82,7 @@ def e4_regularized(km, lam):
     A zero singular value drops its direction."""
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
-    U, s, Vt = np.linalg.svd(km.B, full_matrices=False)
+    U, s, Vt, _ = _spectrum(km)
     with np.errstate(divide="ignore"):
         shrink = s + (lam + JITTER) / s     # inf where s is 0
     a = Vt.T @ ((U.T @ km.b) / shrink)
@@ -81,25 +92,20 @@ def e4_regularized(km, lam):
 
 
 def e3_direct(km):
-    """Direct estimate: spectral-truncated pseudo-inverse of the span-restricted
-    operator (eigenvalues below EIG_TOL times the largest are discarded).
-
-    With phi = QR, the operator S = phi B^T B phi^T has the nonzero spectrum
-    of the r x r core R B^T B R^T, which is decomposed instead."""
-    R = np.linalg.qr(km.phi, mode="r")
-    BR = km.B @ R.T
-    w, V = np.linalg.eigh(BR.T @ BR)
-    wmax = float(w[-1]) if len(w) else 0.0
-    keep = w > EIG_TOL * max(wmax, 0.0)
-    if wmax <= 0 or not np.any(keep):
+    """Direct estimate: the truncated pseudo-inverse of the span-restricted
+    operator in the RKHS metric, a = V_k (U_k^T b / s_k) over the directions
+    _spectrum keeps.  Diagnostics state the spectrum in sigma^2."""
+    U, s, Vt, keep = _spectrum(km)
+    if not keep.any():
         raise SingularOperator("operator spectrum entirely below threshold",
-                               spectrum=w)
-    Vk = V[:, keep]
-    a = R.T @ (Vk @ ((Vk.T @ (BR.T @ km.b)) / w[keep]))
+                               spectrum=s * s)
+    sk = s[keep]
+    a = Vt[keep].T @ ((U[:, keep].T @ km.b) / sk)
+    w = sk * sk
     diag = {
-        "condition_number": wmax / float(w[keep].min()),
-        "spectrum_max": wmax,
-        "spectrum_min_kept": float(w[keep].min()),
+        "condition_number": float(w[0] / w[-1]),
+        "spectrum_max": float(w[0]),
+        "spectrum_min_kept": float(w[-1]),
         "rank_kept": int(keep.sum()),
     }
     return _estimate(km, a, "E3", 0.0, diag)
@@ -123,26 +129,10 @@ def evaluate_weight(est, gamma, ys):
 
 
 def operator_inverse_norm_proxy(km):
-    """Proxy for the inverse-operator norm on the resolvable span.
-
-    The squared singular values of the span-restricted operator are the
-    generalized eigenvalues of (S, K_yy) on range phi, with S = phi B^T B phi^T;
-    there they are the eigenvalues of B^T B, i.e. sigma(B)^2.  The proxy is
-    1 / sigma_min over the singular values of B with sigma^2 > EIG_TOL *
-    sigma_max^2, and inf when none is positive.  That cutoff is applied in
-    the RKHS metric, sigma(B)^2, while e3_direct applies EIG_TOL to the
-    eigenvalues of its core R B^T B R^T, the coefficient metric.  The two
-    rules keep different directions: on the runner's kernel cells (n = 500
-    to 32000) the proxy keeps a 4th direction, at 2.0e-9 to 3.8e-9 of the
-    largest sigma^2, that E3 drops, so the proxy is 1 / sigma_4 of B where
-    E3 inverts only three directions.
-    """
-    s = np.linalg.svd(km.B, compute_uv=False)
-    smax = float(s[0]) if len(s) else 0.0
-    kept = s[s * s > EIG_TOL * smax * smax]
-    if smax <= 0 or len(kept) == 0:
-        return float("inf")
-    return 1.0 / float(kept.min())
+    """Norm of e3_direct's truncated inverse: 1 / sigma_min of B over the
+    directions _spectrum keeps, inf when none is kept."""
+    _, s, _, keep = _spectrum(km)
+    return 1.0 / float(s[keep][-1]) if keep.any() else float("inf")
 
 
 def check_burn_in_functional(n, alpha, delta, kappa_bar, op_inv_norm_proxy):
@@ -157,4 +147,4 @@ def check_burn_in_functional(n, alpha, delta, kappa_bar, op_inv_norm_proxy):
         raise ValueError("kappa_bar and the proxy must be nonnegative")
     required = (32.0 / alpha) * op_inv_norm_proxy ** 2 * kappa_bar ** 2 \
         * math.log(6.0 / delta)
-    return n >= required
+    return bool(n >= required)

@@ -72,11 +72,22 @@ def _dense_system(n, seed):
 
 
 def _dense_e3(n, seed):
-    _, _, S, rhs = _dense_system(n, seed)
-    w, V = eigh(S)
-    keep = w > EIG_TOL * w[-1]
-    Vk = V[:, keep]
-    return Vk @ ((Vk.T @ rhs) / w[keep]), int(keep.sum())
+    """The truncated pseudo-inverse in the RKHS metric on the dense eigh
+    factors K_yy ~ F_y F_y^T and G_uu ~ F_u F_u^T: B = F_u^T F_y / N, the
+    target images in their least-squares coordinates over F_u, and the
+    directions with sigma^2 > EIG_TOL sigma_max^2 inverted.  beta is the
+    smallest with F_y^T beta = c for the inverted coordinates c."""
+    _, _, km, _ = _case(n, seed)
+    K_yy, G_uu, _, _ = _dense_system(n, seed)
+    u_src, u_tgt = _u_images(n, seed)
+    F_y, F_u = _eig_factor(K_yy), _eig_factor(G_uu)
+    G_ut = gaussian_gram(u_src, u_tgt, km.bandwidth)
+    B = F_u.T @ F_y / km.n_est
+    b = np.linalg.lstsq(F_u, G_ut.mean(axis=1) - G_uu.mean(axis=1))[0]
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    keep = s * s > EIG_TOL * s[0] * s[0]
+    c = Vt[keep].T @ ((U[:, keep].T @ b) / s[keep])
+    return np.linalg.lstsq(F_y.T, c)[0], int(keep.sum())
 
 
 def _dense_e4(n, seed):

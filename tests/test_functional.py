@@ -15,6 +15,7 @@ from shiftweight import (RegressionSynthConfig, SingularOperator,
                          operator_inverse_norm_proxy, relative_error,
                          residual_norm_sq, split_alpha,
                          train_kernel_regressor, true_weight_function)
+from shiftweight.functional import EIG_TOL
 from shiftweight.predictors import (FACTOR_TOL, gaussian_gram,
                                     gaussian_pivoted_cholesky)
 
@@ -355,6 +356,48 @@ def test_operator_proxy_ignores_the_order_of_the_split(seed):
         (sp.est_x[perm], sp.est_y[perm]), ds.target_x, u))
     assert np.isfinite(proxy) and proxy > 0
     assert permuted == pytest.approx(proxy, rel=1e-9)
+
+
+def _runner_km(n, seed, bandwidth, a=0.2, b=0.8):
+    """KernelMoments of a runner cell: u fitted and the moments built at one
+    bandwidth, m = n."""
+    ds = gen_regression(RegressionSynthConfig(a, b, seed=seed), n, n)
+    sp = split_alpha(ds, 0.5, seed=seed)
+    u = train_kernel_regressor((sp.erm_x, sp.erm_y), bandwidth=bandwidth)
+    return estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u,
+                                   bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", (0.5, 0.9))
+@pytest.mark.parametrize("n", (500, 2000))
+def test_proxy_inverts_exactly_the_directions_e3_keeps(n, bandwidth):
+    """One rank rule: the proxy is 1 / sigma_min over the directions E3
+    inverts, and the singular values of B at or above 1 / proxy are as many
+    as E3's rank_kept (seeds 0-2)."""
+    for seed in range(3):
+        km = _runner_km(n, seed, bandwidth)
+        diag = e3_direct(km).diagnostics
+        proxy = operator_inverse_norm_proxy(km)
+        assert proxy == pytest.approx(
+            1.0 / math.sqrt(diag["spectrum_min_kept"]), rel=1e-12)
+        s = np.linalg.svd(km.B, compute_uv=False)
+        assert int((s * proxy >= 1.0 - 1e-12).sum()) == diag["rank_kept"]
+
+
+@pytest.mark.parametrize("bandwidth, rank",
+                         ((0.5, 4), (0.7, 3), (0.9, 3), (1.2, 3)))
+def test_e3_rank_kept_with_margin_around_the_cutoff(bandwidth, rank):
+    """On runner cells (n = 500, seeds 0-4, (a, b) of (0.2, 0.8) and
+    (0.3, 0.7)) E3 keeps these ranks, and EIG_TOL lies at least 2x below the
+    last kept sigma^2 / sigma_max^2 and 2x above the first dropped one."""
+    for a, b in ((0.2, 0.8), (0.3, 0.7)):
+        for seed in range(5):
+            km = _runner_km(500, seed, bandwidth, a, b)
+            assert e3_direct(km).diagnostics["rank_kept"] == rank
+            s = np.linalg.svd(km.B, compute_uv=False)
+            ratio = (s / s[0]) ** 2
+            assert ratio[rank - 1] >= 2 * EIG_TOL
+            assert ratio[rank] <= EIG_TOL / 2
 
 
 _SAMPLES = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(20, 400),

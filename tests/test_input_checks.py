@@ -238,3 +238,16 @@ def test_burn_in_checks_still_fail_on_an_infinite_proxy_or_rank_loss():
     assert check_burn_in_functional(10 ** 12, 0.5, 0.1, 1.0, np.inf) is False
     singular = _burn_in_mom([[1.0, 1.0], [1.0, 1.0]])
     assert check_burn_in_categorical(singular, 2, 2, 0.5, 10 ** 12, 0.1) is False
+
+
+def test_burn_in_checks_return_python_bools():
+    """Both checks answer with a Python bool on every branch, also when the
+    threshold is a numpy float (the categorical SVD, a numpy proxy)."""
+    full = _burn_in_mom(np.eye(2))
+    assert check_burn_in_categorical(full, 2, 2, 0.5, 702, 0.1) is True
+    assert check_burn_in_categorical(full, 2, 2, 0.5, 701, 0.1) is False
+    singular = _burn_in_mom([[1.0, 1.0], [1.0, 1.0]])
+    assert check_burn_in_categorical(singular, 2, 2, 0.5, 10 ** 12, 0.1) is False
+    for proxy in (2.0, np.float64(2.0)):
+        assert check_burn_in_functional(1100, 0.5, 0.1, 1.0, proxy) is True
+        assert check_burn_in_functional(1000, 0.5, 0.1, 1.0, proxy) is False
