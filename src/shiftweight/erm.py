@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NonFiniteInput
+from .errors import DataError, require_finite
 from .predictors import class_labels, kernel_ridge_fit, logistic_fit
 
 logger = logging.getLogger("shiftweight")
@@ -45,9 +45,10 @@ def _per_sample_weights(omega, y):
         w = np.asarray(omega(y), dtype=float)
     else:
         w = np.asarray(omega, dtype=float)[np.asarray(y, dtype=int)]
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteInput("importance weights contain NaN or inf",
-                             field="importance_weights")
+    if w.shape != (len(y),):
+        raise DataError(f"importance weights have shape {w.shape}, "
+                        f"expected ({len(y)},)")
+    require_finite(importance_weights=w)
     neg = w < 0
     if np.any(neg):
         # negative estimates make the surrogate unbounded below; the stored
@@ -113,6 +114,7 @@ def oracle_target_risk(model, target_x, target_y):
     target_x = np.asarray(target_x, dtype=float)
     if len(target_x) == 0:
         raise DataError("empty oracle target set")
+    require_finite(covariates=target_x, labels=target_y)
     pred = model.predict(target_x)
     if model.family == "logistic":
         return float(np.mean(pred != np.asarray(target_y, dtype=int)))

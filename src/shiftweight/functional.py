@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularOperator
+from .errors import SingularOperator, require_finite
 from .predictors import gaussian_gram, pivot_coefficients
 
 EIG_TOL = 2e-7              # relative cutoff on sigma(B)^2, see _spectrum
@@ -112,8 +112,10 @@ def e3_direct(km):
 
 
 def theta_function(est):
-    """The estimated shift function theta_hat as a callable on label values."""
+    """The estimated shift function theta_hat as a callable on label values;
+    a NaN or infinite label raises NonFiniteInput."""
     def theta(ys):
+        require_finite(labels=ys)
         K = gaussian_gram(ys, est.anchors, est.bandwidth)
         return K @ est.beta
     return theta

@@ -87,12 +87,15 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     require_finite(source_covariates=x, labels=y, target_covariates=target_x)
     u_src = np.asarray(u(x), dtype=float).reshape(-1)
     u_tgt = np.asarray(u(target_x), dtype=float).reshape(-1)
+    N = len(x)
+    if u_src.shape != (N,) or u_tgt.shape != (len(target_x),):
+        raise DataError(f"u gave {u_src.size} and {u_tgt.size} values for "
+                        f"{N} source and {len(target_x)} target points")
     require_finite(source_statistic=u_src, target_statistic=u_tgt)
     phi, pivots, res_y = gaussian_pivoted_cholesky(y, bandwidth)
     psi, _, res_u = gaussian_pivoted_cholesky(np.concatenate([u_src, u_tgt]),
                                               bandwidth)
     # G_uu, the G_ut row sums and G_tt.sum() all act through psi
-    N = len(x)
     psi_s, psi_t = psi[:N], psi[N:]
     return KernelMoments(
         anchors=y,

@@ -271,60 +271,49 @@ def gaussian_gram(a, b, bandwidth):
 FACTOR_TOL = 1e-14          # largest residual diagonal the Gram factor leaves
 
 
-def _distinct(x):
-    """np.unique(x, return_index=True, return_inverse=True) from one unstable
-    argsort: the distinct values in ascending order, the index of each one's
-    first occurrence, and the position in the values of every point."""
-    order = np.argsort(x)
-    xs = x[order]
-    new = np.empty(len(x), dtype=bool)      # True where a run of equal values starts
-    new[:1] = True
-    np.not_equal(xs[1:], xs[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    first = np.minimum.reduceat(order, starts)
-    inv = np.empty(len(x), dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
-    return x[first], first, inv     # a run of 0.0 and -0.0 keeps its first zero's sign
-
-
 def gaussian_pivoted_cholesky(points, bandwidth):
     """Greedy pivoted Cholesky factor of the Gaussian Gram matrix over points.
 
     Returns (phi, pivots, residual): gaussian_gram(points, points) equals
     phi @ phi.T plus a positive semidefinite remainder whose largest diagonal
     entry, residual <= FACTOR_TOL, bounds every entry of the remainder.
-    Columns are computed on demand over the distinct points, so no n x n block
-    is built; phi[pivots] is lower triangular and phi @ phi[pivots].T
-    reproduces the pivot columns of the Gram matrix.
+    Columns are computed on demand over the points in the order given, so no
+    n x n block is built; phi[pivots] is lower triangular and
+    phi @ phi[pivots].T reproduces the pivot columns of the Gram matrix.
+    Equal points (0.0 and -0.0 among them) get identical rows, and a point
+    equal to a pivot is interpolated exactly: its later entries and its
+    residual diagonal are zeroed.  Each column costs O(len(points)) however
+    many points repeat; no workload repeats a point.
     """
     x = np.asarray(points, dtype=float).reshape(-1)
     require_finite(points=x)
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    vals, first, inv = _distinct(x)
-    nv = len(vals)
-    diag = np.ones(nv)              # the Gaussian kernel is 1 on the diagonal
-    cols = np.empty((nv, min(nv, 32)), order="F")   # factor columns; widened when full
+    n = len(x)
+    diag = np.ones(n)               # the Gaussian kernel is 1 on the diagonal
+    done = np.zeros(n, dtype=bool)  # points equal to a pivot
+    cols = np.empty((n, min(n, 32)), order="F")     # factor columns; widened when full
     piv = []
-    while len(piv) < nv:
+    while len(piv) < n:
         p = int(np.argmax(diag))
         if diag[p] <= FACTOR_TOL:
             break
         j = len(piv)
         if j == cols.shape[1]:
-            wider = np.empty((nv, min(2 * j, nv)), order="F")
+            wider = np.empty((n, min(2 * j, n)), order="F")
             wider[:, :j] = cols
             cols = wider
-        col = _gaussian_block(vals, vals[p:p + 1], bandwidth, cols[:, j:j + 1])[:, 0]
+        col = _gaussian_block(x, x[p:p + 1], bandwidth, cols[:, j:j + 1])[:, 0]
         for i in range(j):
             col -= cols[p, i] * cols[:, i]
         col /= math.sqrt(diag[p])
-        col[piv] = 0.0              # earlier pivots are already interpolated
+        col[done] = 0.0             # equal to an earlier pivot: interpolated
+        done |= x == x[p]
         piv.append(p)
         diag -= col * col
-        diag[p] = 0.0
-    phi = cols[:, :len(piv)]
-    return phi[inv], first[piv], float(diag.max(initial=0.0))
+        diag[done] = 0.0
+    phi = np.ascontiguousarray(cols[:, :len(piv)])
+    return phi, np.array(piv, dtype=np.intp), float(diag.max(initial=0.0))
 
 
 def pivot_coefficients(phi, pivots, a):

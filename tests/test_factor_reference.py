@@ -6,8 +6,8 @@ bandwidth as the kernel moments.  The statistic u is checked against dense
 kernel ridge regression on its training split.
 
 The Gaussian blocks and the pivoted Cholesky factor are also checked bit for
-bit against their straightforward forms (np.unique, one temporary per step,
-np.stack), which the in-place library versions must reproduce exactly.
+bit against their straightforward forms (one temporary per step, np.stack),
+which the in-place library versions must reproduce exactly.
 """
 
 import functools
@@ -211,14 +211,18 @@ def test_weighted_krr_matches_dense_reference(n, seed):
     assert gap <= AGREE, f"weighted KRR predictions differ by {gap:.3g}"
 
 
+# few distinct values, signed zeros among them, so most draws repeat points
+_POINTS = arrays(np.float64, st.integers(1, 60),
+                 elements=st.one_of(st.sampled_from([0.0, -0.0, 0.25, -1.5]),
+                                    st.floats(-3.0, 3.0)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(points=arrays(np.float64, st.integers(1, 60),
-                     elements=st.floats(-3.0, 3.0)),
-       bandwidth=st.floats(0.01, 10.0))
+@given(points=_POINTS, bandwidth=st.floats(0.01, 10.0))
 def test_factor_residual_bounds_every_entry(points, bandwidth):
     """max |K - phi phi^T| <= residual <= FACTOR_TOL, up to the rounding of
     forming phi phi^T and of the tracked residual diagonal (a few ulps per
-    factor column)."""
+    factor column).  Equal points, 0.0 and -0.0 among them, get equal rows."""
     phi, pivots, residual = gaussian_pivoted_cholesky(points, bandwidth)
     r = phi.shape[1]
     rounding = 2 * (r + 1) * np.finfo(float).eps
@@ -227,6 +231,8 @@ def test_factor_residual_bounds_every_entry(points, bandwidth):
     assert 0.0 <= residual <= FACTOR_TOL
     assert len(set(points[pivots].tolist())) == r      # distinct pivot points
     np.testing.assert_array_equal(np.triu(phi[pivots], 1), 0.0)
+    i, j = np.nonzero(points[:, None] == points[None, :])
+    np.testing.assert_array_equal(phi[i], phi[j])
 
 
 # ===================== bit-for-bit references =====================
@@ -247,24 +253,25 @@ def _reference_rbf_features(x, centers, scale):
 
 def _reference_factor(points, bandwidth):
     x = np.asarray(points, dtype=float).reshape(-1)
-    vals, first, inv = np.unique(x, return_index=True, return_inverse=True)
-    diag = np.ones(len(vals))
+    diag = np.ones(len(x))
+    done = np.zeros(len(x), dtype=bool)
     cols, piv = [], []
-    while len(piv) < len(vals):
+    while len(piv) < len(x):
         p = int(np.argmax(diag))
         if diag[p] <= FACTOR_TOL:
             break
-        col = _reference_gram(vals, vals[p], bandwidth)[:, 0]
+        col = _reference_gram(x, x[p], bandwidth)[:, 0]
         for c in cols:
             col -= c[p] * c
         col /= math.sqrt(diag[p])
-        col[piv] = 0.0
+        col[done] = 0.0
+        done |= x == x[p]
         cols.append(col)
         piv.append(p)
         diag -= col * col
-        diag[p] = 0.0
-    phi = np.stack(cols, axis=1) if cols else np.zeros((len(vals), 0))
-    return phi[inv.reshape(-1)], first[piv], float(diag.max(initial=0.0))
+        diag[done] = 0.0
+    phi = np.stack(cols, axis=1) if cols else np.zeros((len(x), 0))
+    return phi, np.array(piv, dtype=np.intp), float(diag.max(initial=0.0))
 
 
 def _assert_same_bits(got, want):
@@ -281,12 +288,6 @@ def _assert_same_factor(points, bandwidth):
     _assert_same_bits(phi, ref_phi)
     _assert_same_bits(pivots, ref_pivots)
     assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
-
-
-# few distinct values, signed zeros among them, so most draws repeat points
-_POINTS = arrays(np.float64, st.integers(1, 60),
-                 elements=st.one_of(st.sampled_from([0.0, -0.0, 0.25, -1.5]),
-                                    st.floats(-3.0, 3.0)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,7 +9,8 @@ from shiftweight import (DataError, IllConditioned, MomentEstimates,
                          check_burn_in_categorical, check_burn_in_functional,
                          composite_epsilon, confidence_report, e2_regularized,
                          e4_regularized, estimate_kernel_moments,
-                         functional_radii, train_hypercube,
+                         evaluate_weight, functional_radii, oracle_target_risk,
+                         theta_function, train_hypercube,
                          train_kernel_regressor, train_simplex, weighted_erm)
 from shiftweight.predictors import _safe_spd_solve, gaussian_pivoted_cholesky
 
@@ -26,6 +27,15 @@ def _with_nan(values):
     return values
 
 
+def _oracle_risk(family):
+    """oracle_target_risk at (x, y) of a model fitted on the clean sample."""
+    def call(x, y):
+        omega = np.ones(3) if family == "logistic" else lambda ys: np.ones(len(ys))
+        return oracle_target_risk(weighted_erm(_sample(), omega, family).model,
+                                  x, y)
+    return call
+
+
 ENTRY_POINTS = {
     "train_simplex": lambda x, y: train_simplex((x, y), 3),
     "train_hypercube": lambda x, y: train_hypercube((x, y), 3),
@@ -34,8 +44,11 @@ ENTRY_POINTS = {
         (x, y), np.ones(3), "logistic"),
     "weighted_erm_kernel_ridge": lambda x, y: weighted_erm(
         (x, y), lambda ys: np.ones(len(ys)), "kernel_ridge"),
+    "oracle_target_risk_logistic": _oracle_risk("logistic"),
+    "oracle_target_risk_kernel_ridge": _oracle_risk("kernel_ridge"),
 }
-REAL_LABELS = ("train_kernel_regressor", "weighted_erm_kernel_ridge")
+REAL_LABELS = ("train_kernel_regressor", "weighted_erm_kernel_ridge",
+               "oracle_target_risk_kernel_ridge")
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -143,6 +156,43 @@ def test_minus_inf_importance_weight_is_not_clamped(family, omega):
     assert exc.value.field == "importance_weights"
 
 
+@pytest.mark.parametrize("weights", (lambda ys: 1.0,
+                                     lambda ys: np.ones(len(ys) - 1),
+                                     lambda ys: np.ones((len(ys), 2))),
+                         ids=("scalar", "one_short", "two_columns"))
+@pytest.mark.parametrize("family", ("logistic", "kernel_ridge"))
+def test_weight_callable_of_the_wrong_shape_is_rejected(family, weights):
+    """Both families check one weight per sample where the weights are made;
+    kernel ridge used to fail with a raw IndexError or broadcast ValueError."""
+    x, y = _sample()
+    with pytest.raises(DataError, match="importance weights have shape"):
+        weighted_erm((x, y), weights, family)
+
+
+@pytest.mark.parametrize("u", (lambda v: np.stack([v, v], axis=1),
+                               lambda v: v[1:], lambda v: 0.5),
+                         ids=("two_columns", "one_short", "scalar"))
+def test_kernel_moments_reject_a_statistic_of_the_wrong_shape(u):
+    """u gives one image per point: two columns flattened used to give a
+    wrong B silently, and a scalar a raw matmul ValueError."""
+    x = np.linspace(0.0, 1.0, 30)
+    with pytest.raises(DataError, match="u gave"):
+        estimate_kernel_moments((x, x), x[::-1], u, bandwidth=0.5)
+
+
+@pytest.mark.parametrize("bad", (np.inf, -np.inf))
+@pytest.mark.parametrize("evaluate", (
+    lambda est, ys: evaluate_weight(est, 1.0, ys),
+    lambda est, ys: theta_function(est)(ys)),
+    ids=("evaluate_weight", "theta_function"))
+def test_infinite_label_fails_the_weight_evaluation(evaluate, bad):
+    """theta_hat at +-inf was a silent 0, a weight of 1.  (NaN, which gave
+    NaN, is in NAN_ENTRIES.)"""
+    with pytest.raises(NonFiniteInput) as exc:
+        evaluate(_e4_at(0.1), np.array([0.5, bad]))
+    assert exc.value.field == "labels"
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 def test_factor_rejects_non_finite_points(bad):
     with pytest.raises(NonFiniteInput) as exc:
@@ -193,6 +243,8 @@ NAN_ENTRIES = {
     "e2_regularized-delta_T": lambda: _e2_at(NAN),
     "e2_regularized-theta_cap": lambda: _e2_at(0.1, theta_cap=NAN),
     "e4_regularized-lam": lambda: _e4_at(NAN),
+    "evaluate_weight-ys": lambda: evaluate_weight(_e4_at(0.1), 1.0, [0.5, NAN]),
+    "theta_function-ys": lambda: theta_function(_e4_at(0.1))([NAN]),
 }
 
 
