@@ -17,10 +17,12 @@ logger = logging.getLogger("shiftweight")
 
 
 class FittedModel:
-    """Minimal trained predictor: class labels for logistic, reals for kernel ridge."""
+    """Minimal trained predictor: class labels for logistic, reals for kernel
+    ridge.  k is a logistic model's class count (None: not known)."""
 
-    def __init__(self, family, fn):
+    def __init__(self, family, fn, k=None):
         self.family = family
+        self.k = k
         self._fn = fn
 
     def predict(self, x):
@@ -89,7 +91,7 @@ def weighted_erm(erm_split, omega, family="logistic", k=None,
         def fn(xq):
             return np.argmax(logits(xq), axis=1)
 
-        model = FittedModel("logistic", fn)
+        model = FittedModel("logistic", fn, k)
         risk = float(np.mean(w * (np.argmax(train_logits, axis=1) != y)))
     elif family == "kernel_ridge":
         if start is not None:
@@ -110,14 +112,18 @@ def weighted_erm(erm_split, omega, family="logistic", k=None,
 
 
 def oracle_target_risk(model, target_x, target_y):
-    """Mean bounded loss of the model on held-out labeled target samples."""
+    """Mean bounded loss of the model on held-out labeled target samples.
+    A logistic model's labels must be classes in 0..k-1, as in training."""
     target_x = np.asarray(target_x, dtype=float)
     if len(target_x) == 0:
         raise DataError("empty oracle target set")
+    if len(target_y) != len(target_x):
+        raise DataError(f"{len(target_x)} covariates with {len(target_y)} labels")
     require_finite(covariates=target_x, labels=target_y)
     pred = model.predict(target_x)
     if model.family == "logistic":
-        return float(np.mean(pred != np.asarray(target_y, dtype=int)))
+        k = np.inf if model.k is None else model.k
+        return float(np.mean(pred != class_labels(target_y, k)))
     err = (pred - np.asarray(target_y, dtype=float)) ** 2
     return float(np.mean(np.clip(err, 0.0, 1.0)))
 

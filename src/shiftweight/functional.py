@@ -30,13 +30,9 @@ class FunctionalWeightEstimate:
     anchors: np.ndarray     # the pivot anchors
     method: str             # "E3" or "E4"
     lambda_used: float
-    rkhs_norm: float        # sqrt(beta^T kernel(anchors, anchors) beta)
+    rkhs_norm: float        # ||theta||_H = ||a||, a the factor coordinates
     bandwidth: float
     diagnostics: dict
-
-
-def _rkhs_norm_sq(anchors, beta, bandwidth):
-    return float(beta @ gaussian_gram(anchors, anchors, bandwidth) @ beta)
 
 
 def residual_norm_sq(km, beta):
@@ -49,19 +45,18 @@ def residual_norm_sq(km, beta):
 
 def e4_objective(km, lam, beta):
     """The squared relaxed objective J(beta) = residual^2 + lam * ||theta||_H^2,
-    beta over the pivot anchors."""
-    return residual_norm_sq(km, beta) \
-        + lam * _rkhs_norm_sq(km.anchors[km.pivots], beta, km.bandwidth)
+    beta over the pivot anchors; ||theta||_H^2 = a @ a."""
+    a = km.phi[km.pivots].T @ np.asarray(beta, dtype=float)
+    return residual_norm_sq(km, beta) + lam * float(a @ a)
 
 
 def _estimate(km, a, method, lam, diag):
     beta = pivot_coefficients(km.phi, km.pivots, a)
-    anchors = km.anchors[km.pivots]
-    rn = math.sqrt(max(_rkhs_norm_sq(anchors, beta, km.bandwidth), 0.0))
     diag.update(residual_sq=residual_norm_sq(km, beta),
                 factor_rank_y=km.phi.shape[1], factor_rank_u=km.B.shape[0],
                 factor_residual=km.factor_residual)
-    return FunctionalWeightEstimate(beta, anchors, method, float(lam), rn,
+    return FunctionalWeightEstimate(beta, km.anchors[km.pivots], method,
+                                    float(lam), float(np.linalg.norm(a)),
                                     km.bandwidth, diag)
 
 

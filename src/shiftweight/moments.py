@@ -84,6 +84,8 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
         raise DataError("empty estimation split or target set")
+    if len(y) != len(x):
+        raise DataError(f"{len(x)} covariates with {len(y)} labels")
     require_finite(source_covariates=x, labels=y, target_covariates=target_x)
     u_src = np.asarray(u(x), dtype=float).reshape(-1)
     u_tgt = np.asarray(u(target_x), dtype=float).reshape(-1)

@@ -245,6 +245,8 @@ def train_simplex(train, k):
 def train_hypercube(train, k):
     """One-hot least-squares statistic; outputs clipped to [-1, 1]^k."""
     x, y = train
+    if len(y) != len(x):
+        raise DataError(f"{len(x)} covariates with {len(y)} labels")
     _check_classes_present(y, k)
     centers, scale = feature_plan(x)
     feats = rbf_features(x, centers, scale)
@@ -263,9 +265,13 @@ def train_hypercube(train, k):
 # ===================== regression statistic =====================
 
 def gaussian_gram(a, b, bandwidth):
+    """The Gaussian block kernel(a_i, b_j), shape (len(a), len(b)), in
+    column-major order: built as the transpose of a C-ordered (len(b),
+    len(a)) block, so each pass runs along the a-samples.  (b - a)^2 and
+    (a - b)^2 round alike, so the values are those of the row-major build."""
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
-    return _gaussian_block(a, b, bandwidth, np.empty((len(a), len(b))))
+    return _gaussian_block(b, a, bandwidth, np.empty((len(b), len(a)))).T
 
 
 FACTOR_TOL = 1e-14          # largest residual diagonal the Gram factor leaves
@@ -283,7 +289,9 @@ def gaussian_pivoted_cholesky(points, bandwidth):
     Equal points (0.0 and -0.0 among them) get identical rows, and a point
     equal to a pivot is interpolated exactly: its later entries and its
     residual diagonal are zeroed.  Each column costs O(len(points)) however
-    many points repeat; no workload repeats a point.
+    many points repeat; no workload repeats a point.  phi is returned in the
+    Fortran order it is built in, a view of the column buffer with no copy,
+    so each column of it runs along the points.
     """
     x = np.asarray(points, dtype=float).reshape(-1)
     require_finite(points=x)
@@ -312,7 +320,7 @@ def gaussian_pivoted_cholesky(points, bandwidth):
         piv.append(p)
         diag -= col * col
         diag[done] = 0.0
-    phi = np.ascontiguousarray(cols[:, :len(piv)])
+    phi = cols[:, :len(piv)]
     return phi, np.array(piv, dtype=np.intp), float(diag.max(initial=0.0))
 
 
@@ -331,11 +339,14 @@ def kernel_ridge_fit(x, y, w, bandwidth, ridge):
     over x, solves (ridge I + phi^T W phi) a = phi^T W (y - ybar), with
     W = diag(w) and ybar the w-weighted mean of y; the fit is phi a + ybar on
     the sample.  Returns the predictor xq -> kernel(xq, pivots) @ coef + ybar.
+    y holds one label per covariate.
     """
     if not (bandwidth > 0 and ridge > 0):
         raise ValueError("bandwidth and ridge must be positive")
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
+    if y.shape != x.shape:
+        raise DataError(f"{len(x)} covariates with {len(y)} labels")
     require_finite(covariates=x, labels=y)
     ybar = float((w * y).sum() / w.sum())
     phi, pivots, _ = gaussian_pivoted_cholesky(x, bandwidth)

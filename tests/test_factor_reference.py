@@ -23,8 +23,10 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 from shiftweight import (RegressionSynthConfig, e3_direct, e4_regularized,
                          estimate_kernel_moments, evaluate_weight,
                          functional_radii, gen_regression,
-                         operator_inverse_norm_proxy, split_alpha,
-                         theta_function, train_kernel_regressor, weighted_erm)
+                         operator_inverse_norm_proxy, relative_error,
+                         split_alpha, theta_function, train_kernel_regressor,
+                         true_weight_function, weighted_erm)
+from shiftweight import moments, predictors
 from shiftweight.functional import EIG_TOL
 from shiftweight.predictors import (FACTOR_TOL, _safe_spd_solve,
                                     feature_plan, gaussian_gram,
@@ -211,6 +213,49 @@ def test_weighted_krr_matches_dense_reference(n, seed):
     assert gap <= AGREE, f"weighted KRR predictions differ by {gap:.3g}"
 
 
+def _kernel_path_outputs(seed, n=2000):
+    """E3 and E4 beta and relative_error, the proxy and the E4-weighted
+    kernel-ridge predictions at the target points of one cell."""
+    cfg = RegressionSynthConfig(0.2, 0.8, seed=seed)
+    ds = gen_regression(cfg, n, n)
+    sp = split_alpha(ds, 0.5, seed=seed)
+    u = train_kernel_regressor((sp.erm_x, sp.erm_y))
+    km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
+    lam = 0.1 * functional_radii(0.5, n, n, 0.1, km.kappa_bar)[2]
+    e4 = e4_regularized(km, lam)
+    out = {"proxy": operator_inverse_norm_proxy(km)}
+    for est in (e3_direct(km), e4):
+        out[est.method + " beta"] = est.beta
+        out[est.method + " relative_error"] = relative_error(
+            lambda ys: evaluate_weight(est, 1.0, ys),
+            true_weight_function(cfg), "functional")
+    fit = weighted_erm((sp.erm_x, sp.erm_y),
+                       lambda ys: evaluate_weight(e4, 1.0, ys),
+                       "kernel_ridge", bandwidth=km.bandwidth)
+    out["predictions"] = fit.model.predict(ds.target_x)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_path_does_not_depend_on_factor_layout(seed, monkeypatch):
+    """The factor is returned in Fortran order; a C-ordered copy of it gives
+    the same E3 and E4 estimates, proxy and kernel-ridge predictions within
+    1e-12 relative (at most 4.1e-13, E3's beta at seed 0)."""
+    want = _kernel_path_outputs(seed)
+
+    def c_ordered(points, bandwidth):
+        phi, pivots, residual = gaussian_pivoted_cholesky(points, bandwidth)
+        assert phi.flags["F_CONTIGUOUS"] and phi.shape[1] > 1
+        return np.ascontiguousarray(phi), pivots, residual
+
+    monkeypatch.setattr(predictors, "gaussian_pivoted_cholesky", c_ordered)
+    monkeypatch.setattr(moments, "gaussian_pivoted_cholesky", c_ordered)
+    got = _kernel_path_outputs(seed)
+    for key, value in want.items():
+        gap = np.linalg.norm(got[key] - value)
+        assert gap <= 1e-12 * np.linalg.norm(value), (key, gap)
+
+
 # few distinct values, signed zeros among them, so most draws repeat points
 _POINTS = arrays(np.float64, st.integers(1, 60),
                  elements=st.one_of(st.sampled_from([0.0, -0.0, 0.25, -1.5]),
@@ -283,9 +328,11 @@ def _assert_same_bits(got, want):
 
 
 def _assert_same_factor(points, bandwidth):
+    """The reference's bits, in the Fortran order the factor is built in."""
     phi, pivots, residual = gaussian_pivoted_cholesky(points, bandwidth)
     ref_phi, ref_pivots, ref_residual = _reference_factor(points, bandwidth)
-    _assert_same_bits(phi, ref_phi)
+    assert phi.flags["F_CONTIGUOUS"]
+    _assert_same_bits(np.ascontiguousarray(phi), ref_phi)
     _assert_same_bits(pivots, ref_pivots)
     assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
 
@@ -317,7 +364,11 @@ def test_factor_matches_reference_at_benchmark_size():
 @settings(max_examples=200, deadline=None)
 @given(a=_POINTS, b=_POINTS, bandwidth=st.floats(0.01, 10.0))
 def test_gram_matches_reference_bit_for_bit(a, b, bandwidth):
-    _assert_same_bits(gaussian_gram(a, b, bandwidth),
+    """The row-major reference's bits, in the column-major order the block
+    is built in: the transpose C-contiguous."""
+    gram = gaussian_gram(a, b, bandwidth)
+    assert gram.T.flags["C_CONTIGUOUS"]
+    _assert_same_bits(np.ascontiguousarray(gram),
                       _reference_gram(a, b, bandwidth))
 
 

@@ -86,6 +86,39 @@ def test_bad_class_label_is_rejected_where_it_enters(entry, bad, error,
         CLASS_LABEL_ENTRY_POINTS[entry](np.append(x, 1.0), np.append(y, bad))
 
 
+LENGTH_ENTRY_POINTS = {
+    **ENTRY_POINTS,
+    "estimate_kernel_moments": lambda x, y: estimate_kernel_moments(
+        (x, y), x, lambda v: v, bandwidth=0.5),
+}
+
+
+@pytest.mark.parametrize("short", ("covariates", "labels"))
+@pytest.mark.parametrize("entry", sorted(LENGTH_ENTRY_POINTS))
+def test_covariates_and_labels_of_different_lengths_are_rejected(entry, short):
+    """One label per covariate, checked where the arrays enter: the kernel
+    path, the hypercube fit and the oracle risk used to fail with a raw
+    numpy broadcast, indexing or matmul error."""
+    x, y = _sample()
+    if short == "covariates":
+        x = x[:-1]
+    else:
+        y = y[:-1]
+    with pytest.raises(DataError):
+        LENGTH_ENTRY_POINTS[entry](x, y)
+
+
+@pytest.mark.parametrize("shift, message", ((0.5, "is not an integer"),
+                                            (5, "outside 0..2")))
+def test_oracle_risk_rejects_labels_that_are_not_classes(shift, message):
+    """A logistic model's target labels were cast to int: y + 0.5 scored
+    like y, and y + 5 counted silently as all errors."""
+    x, y = _sample()
+    model = weighted_erm((x, y), np.ones(3), "logistic").model
+    with pytest.raises(DataError, match=message):
+        oracle_target_risk(model, x, y + shift)
+
+
 def test_kernel_ridge_erm_rejects_a_class_indexed_omega():
     """A weight vector has no meaning for real labels: it is not indexed by
     the labels cast to int."""
