@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, require_finite
-from .predictors import class_labels, kernel_ridge_fit, logistic_fit
+from .predictors import (GramFactor, class_labels, gram_factor,
+                         kernel_ridge_fit, logistic_fit)
 
 logger = logging.getLogger("shiftweight")
 
@@ -70,10 +71,15 @@ def weighted_erm(erm_split, omega, family="logistic", k=None,
     omega is a callable evaluated at the labels or, for logistic only, a
     length-k weight vector indexed by class label; any blend (blend_gamma,
     evaluate_weight) is already in omega.  Weights that are all ones run the
-    identical code path as unweighted training.  start, for
-    logistic only, is a (p, k) Newton start for the softmax weights, such as
-    the simplex statistic's coef on the same covariates; the fitted model
-    does not depend on it beyond rounding.
+    identical code path as unweighted training.  start is what the fit may
+    begin from, such as a statistic's coef fit on the same covariates.  For
+    logistic it is a (p, k) Newton start for the softmax weights; the
+    fitted model does not depend on it beyond rounding.  For kernel_ridge
+    it is the GramFactor of these covariates at this bandwidth, used in
+    place of building one: the fitted model is the same bit for bit.  A
+    factor of other covariates (not equal value for value) or of another
+    bandwidth raises DataError.  None: logistic starts from its
+    least-squares logits, kernel_ridge builds the factor.
     """
     x, y = erm_split
     x = np.asarray(x, dtype=float)
@@ -94,17 +100,25 @@ def weighted_erm(erm_split, omega, family="logistic", k=None,
         model = FittedModel("logistic", fn, k)
         risk = float(np.mean(w * (np.argmax(train_logits, axis=1) != y)))
     elif family == "kernel_ridge":
-        if start is not None:
-            raise DataError("start is a logistic Newton start; kernel_ridge "
-                            "takes none")
+        if start is not None and not isinstance(start, GramFactor):
+            raise DataError("start for kernel_ridge is the GramFactor of the "
+                            "ERM covariates, not a logistic Newton start")
         if not callable(omega):
             raise DataError("kernel_ridge needs omega as a function of the "
                             "real labels, not a vector indexed by class")
         w = _per_sample_weights(omega, y)
         y = np.asarray(y, dtype=float)
-        fn = kernel_ridge_fit(x, y, w, bandwidth, ridge)
+        if start is None:
+            start = gram_factor(x, bandwidth)
+        elif start.bandwidth != bandwidth:
+            raise DataError(f"start is a Gram factor at bandwidth "
+                            f"{start.bandwidth}, not {bandwidth}")
+        elif not np.array_equal(start.points, x.reshape(-1)):
+            raise DataError("start is the Gram factor of other covariates "
+                            "than the ERM split's")
+        fn, fit = kernel_ridge_fit(start, y, w, ridge)
         model = FittedModel("kernel_ridge", fn)
-        risk = float(np.mean(w * np.clip((fn(x) - y) ** 2, 0.0, 1.0)))
+        risk = float(np.mean(w * np.clip((fit - y) ** 2, 0.0, 1.0)))
     else:
         raise ValueError(f"unknown family {family!r}")
 

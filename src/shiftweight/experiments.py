@@ -251,7 +251,8 @@ def _run_functional_cell(cfg, n, m, seed):
     gen = RegressionSynthConfig(cfg.a, cfg.b, cfg.noise_std, seed)
     ds = gen_regression(gen, n, m)
     sp = split_alpha(ds, cfg.alpha, seed=seed)
-    train = (sp.erm_x, sp.erm_y) if len(sp.erm_x) else (sp.est_x, sp.est_y)
+    on_erm = len(sp.erm_x) > 0
+    train = (sp.erm_x, sp.erm_y) if on_erm else (sp.est_x, sp.est_y)
     u = train_kernel_regressor(train, bandwidth=cfg.bandwidth)
     km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u,
                                  bandwidth=cfg.bandwidth)
@@ -271,9 +272,11 @@ def _run_functional_cell(cfg, n, m, seed):
     burn = check_burn_in_functional(n, cfg.alpha, cfg.delta, km.kappa_bar, proxy)
     target_risk = None
     if cfg.run_erm:
+        # u's Gram factor is the ERM's own when u was fit on the ERM split
         fit = weighted_erm((sp.erm_x, sp.erm_y),
                            lambda ys: evaluate_weight(est, cfg.gamma, ys),
-                           "kernel_ridge", bandwidth=cfg.bandwidth)
+                           "kernel_ridge", bandwidth=cfg.bandwidth,
+                           start=u.coef if on_erm else None)
         target_risk = oracle_target_risk(fit.model, ds.target_x, ds.target_y_oracle)
     return rel, rep.epsilon_delta, burn, target_risk
 

@@ -95,6 +95,10 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
                         f"{N} source and {len(target_x)} target points")
     require_finite(source_statistic=u_src, target_statistic=u_tgt)
     phi, pivots, res_y = gaussian_pivoted_cholesky(y, bandwidth)
+    # KernelMoments keeps an owned copy of the r columns, not a view pinning
+    # the factor's wider buffer; copied before psi is built, so that buffer
+    # is freed first
+    phi = phi.copy(order="F")
     psi, _, res_u = gaussian_pivoted_cholesky(np.concatenate([u_src, u_tgt]),
                                               bandwidth)
     # G_uu, the G_ut row sums and G_tt.sum() all act through psi

@@ -6,6 +6,7 @@ full-batch steps.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +15,11 @@ from .errors import DataError, IllConditioned, require_finite
 
 class StatisticFn:
     """Trained statistic; maps covariates (n,) to (n, d) outputs, or (n,) in kernel mode.
-    coef holds the softmax weights of the simplex statistic, a Newton start
-    for logistic fits on the same covariates; None on the other statistics."""
+    coef is what a weighted ERM fit on the same covariates can start from:
+    the softmax weights of the simplex statistic (a Newton start for
+    logistic fits), the GramFactor of the kernel regressor's training
+    covariates (the factor kernel-ridge ERM would build), None on the
+    hypercube statistic."""
 
     def __init__(self, mode, output_dim, fn, coef=None):
         self.mode = mode
@@ -332,44 +336,72 @@ def pivot_coefficients(phi, pivots, a):
     return np.linalg.solve(phi[pivots].T, a)
 
 
-def kernel_ridge_fit(x, y, w, bandwidth, ridge):
+class GramFactor(NamedTuple):
+    """The pivoted-Cholesky factor of the Gaussian Gram matrix over points at
+    bandwidth (gaussian_pivoted_cholesky), held in owned arrays: points is
+    a copy of the covariates it was built on, phi its r kept columns in
+    Fortran order."""
+    points: np.ndarray
+    bandwidth: float
+    phi: np.ndarray
+    pivots: np.ndarray
+
+
+def gram_factor(x, bandwidth):
+    """The GramFactor of the covariates x at bandwidth.  A bandwidth that is
+    not positive raises ValueError, NaN or inf covariates NonFiniteInput."""
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
+    x = np.asarray(x, dtype=float).reshape(-1).copy()
+    require_finite(covariates=x)
+    phi, pivots, _ = gaussian_pivoted_cholesky(x, bandwidth)
+    # phi is a view of a buffer of at least 32 columns; the factor outlives
+    # this call, so it keeps an owned copy of the r columns alone
+    return GramFactor(x, bandwidth, phi.copy(order="F"), pivots)
+
+
+def kernel_ridge_fit(factor, y, w, ridge):
     """Weighted Nystrom kernel ridge regression with an unpenalized mean offset.
 
-    On the pivoted-Cholesky factor K ~ phi phi^T of the Gaussian Gram matrix
-    over x, solves (ridge I + phi^T W phi) a = phi^T W (y - ybar), with
-    W = diag(w) and ybar the w-weighted mean of y; the fit is phi a + ybar on
-    the sample.  Returns the predictor xq -> kernel(xq, pivots) @ coef + ybar.
-    y holds one label per covariate.
+    On the GramFactor K ~ phi phi^T of the training covariates, solves
+    (ridge I + phi^T W phi) a = phi^T W (y - ybar), with W = diag(w) and
+    ybar the w-weighted mean of y.  Returns the predictor
+    xq -> kernel(xq, pivots) @ coef + ybar and the in-sample fit
+    phi a + ybar (what the predictor gives at the covariates, up to
+    rounding).  y holds one label per covariate.
     """
-    if not (bandwidth > 0 and ridge > 0):
-        raise ValueError("bandwidth and ridge must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
+    if not ridge > 0:
+        raise ValueError("ridge must be positive")
     y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != x.shape:
-        raise DataError(f"{len(x)} covariates with {len(y)} labels")
-    require_finite(covariates=x, labels=y)
+    if y.shape != factor.points.shape:
+        raise DataError(f"{len(factor.points)} covariates with {len(y)} labels")
+    require_finite(labels=y)
     ybar = float((w * y).sum() / w.sum())
-    phi, pivots, _ = gaussian_pivoted_cholesky(x, bandwidth)
+    phi, pivots = factor.phi, factor.pivots
     phi_w = phi * w[:, None]
     a = _safe_spd_solve(phi_w.T @ phi + ridge * np.eye(phi.shape[1]),
                         phi_w.T @ (y - ybar))
-    centers = x[pivots]
+    centers = factor.points[pivots]
     coef = pivot_coefficients(phi, pivots, a)
+    bandwidth = factor.bandwidth
 
     def fn(xq):
         return gaussian_gram(xq, centers, bandwidth) @ coef + ybar
 
-    return fn
+    return fn, phi @ a + ybar
 
 
 def train_kernel_regressor(train, bandwidth=0.9, ridge=1e-2):
     """Gaussian kernel ridge regression for u, with an unpenalized mean offset
-    (unweighted `kernel_ridge_fit`).
+    (unweighted `kernel_ridge_fit`).  Its coef is the GramFactor of the
+    training covariates, which kernel-ridge ERM on the same covariates and
+    bandwidth takes as its start.
 
     Centering y makes the heavy-ridge limit revert to mean(y) instead of 0.
     """
     x, y = train
     if len(x) == 0:
         raise DataError("empty training set")
-    return StatisticFn("KernelRegressor", 1,
-                       kernel_ridge_fit(x, y, np.ones(len(x)), bandwidth, ridge))
+    factor = gram_factor(x, bandwidth)
+    fn, _ = kernel_ridge_fit(factor, y, np.ones(len(factor.points)), ridge)
+    return StatisticFn("KernelRegressor", 1, fn, coef=factor)

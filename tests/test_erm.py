@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftweight import (DataError, blend_gamma, oracle_target_risk,
-                         weighted_erm)
+                         train_kernel_regressor, weighted_erm)
 from shiftweight.erm import FittedModel
 
 
@@ -121,6 +121,57 @@ def test_kernel_ridge_rejects_a_newton_start():
     with pytest.raises(DataError, match="start"):
         weighted_erm((x, np.sin(3 * x)), lambda ys: np.ones_like(ys),
                      family="kernel_ridge", start=np.zeros((33, 2)))
+
+
+def _real_labels(n=300, seed=12):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, n)
+    return x, np.sin(3 * x) + 0.1 * rng.standard_normal(n)
+
+
+def test_kernel_ridge_on_the_statistics_factor_matches_a_fresh_one():
+    """Kernel-ridge ERM started from u.coef, the Gram factor of u's training
+    covariates, predicts what it predicts when it builds the factor itself,
+    bit for bit.  Its train_weighted_risk is scored from the in-sample fit
+    phi a + ybar; that is the risk of the predictor at the covariates up to
+    rounding."""
+    x, y = _real_labels()
+    u = train_kernel_regressor((x, y), bandwidth=0.5)
+
+    def omega(ys):
+        return 1.0 + 0.5 * np.cos(3 * ys)
+
+    shared = weighted_erm((x, y), omega, "kernel_ridge", bandwidth=0.5,
+                          start=u.coef)
+    fresh = weighted_erm((x, y), omega, "kernel_ridge", bandwidth=0.5)
+    probe = np.linspace(-0.2, 1.2, 97)
+    np.testing.assert_array_equal(shared.model.predict(probe),
+                                  fresh.model.predict(probe))
+    assert shared.train_weighted_risk == fresh.train_weighted_risk
+    risk_of_predictor = float(np.mean(
+        omega(y) * np.clip((fresh.model.predict(x) - y) ** 2, 0.0, 1.0)))
+    assert shared.train_weighted_risk == pytest.approx(risk_of_predictor,
+                                                       rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("change", ("one ulp", "shorter split", "bandwidth"))
+def test_kernel_ridge_rejects_a_factor_of_other_covariates(change):
+    """A factor is taken only for the covariates it was built on, equal
+    value for value, and at its bandwidth; anything else raises rather
+    than being silently rebuilt."""
+    x, y = _real_labels()
+    u = train_kernel_regressor((x, y), bandwidth=0.5)
+    bandwidth = 0.5
+    if change == "one ulp":
+        x = x.copy()
+        x[7] = np.nextafter(x[7], 2.0)
+    elif change == "shorter split":
+        x, y = x[:-1], y[:-1]
+    else:
+        bandwidth = np.nextafter(0.5, 1.0)
+    with pytest.raises(DataError, match="start"):
+        weighted_erm((x, y), lambda ys: np.ones_like(ys), "kernel_ridge",
+                     bandwidth=bandwidth, start=u.coef)
 
 
 def test_oracle_risk_constant_classifier_exact_fraction():

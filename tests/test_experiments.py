@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import shiftweight
-from shiftweight import (ConfigError, ExperimentConfig, RegressionSynthConfig,
-                         build_config, relative_error, rows_to_csv,
-                         run_experiment, true_weight_function)
+from shiftweight import (ConfigError, DataError, ExperimentConfig,
+                         RegressionSynthConfig, build_config, relative_error,
+                         rows_to_csv, run_experiment, true_weight_function)
+from shiftweight import experiments, moments, predictors
 from shiftweight.experiments import CSV_COLUMNS, _summaries, parse_config_text
 
 BASE = {
@@ -238,6 +239,42 @@ def test_functional_single_run_smoke():
     rows = run_experiment(cfg)
     assert rows[0]["relative_error"] < 1.0
     assert rows[0]["k_or_bandwidth"] == cfg.bandwidth
+
+
+@pytest.mark.parametrize("estimator", ("E3", "E4"))
+def test_functional_erm_cell_builds_three_gram_factors(estimator, monkeypatch):
+    """One factor each over u's training covariates, the anchor labels and
+    the u-images; the kernel-ridge ERM fits on u's factor, since u was fit
+    on the ERM split at the same bandwidth."""
+    sizes = []
+    factor = predictors.gaussian_pivoted_cholesky
+
+    def counted(points, bandwidth):
+        sizes.append(len(points))
+        return factor(points, bandwidth)
+
+    monkeypatch.setattr(predictors, "gaussian_pivoted_cholesky", counted)
+    monkeypatch.setattr(moments, "gaussian_pivoted_cholesky", counted)
+    run_experiment(_cfg(estimator=estimator, run_erm=True, seeds=(0,)))
+    assert sizes == [200, 200, 600]
+
+
+@pytest.mark.parametrize("estimator", ("E3", "E4"))
+def test_functional_empty_erm_split_is_reported(estimator, monkeypatch):
+    """At n = 1 the ERM split is empty and u is fit on the estimation split,
+    so its factor is not the ERM covariates' and the runner passes none;
+    the ERM's empty-split error is what the cell raises."""
+    starts = []
+    erm = experiments.weighted_erm
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["start"])
+        return erm(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "weighted_erm", spy)
+    with pytest.raises(DataError, match="empty ERM split"):
+        run_experiment(_cfg(estimator=estimator, n=1, run_erm=True, seeds=(0,)))
+    assert starts == [None]
 
 
 def test_runner_deterministic_modulo_wall_time():

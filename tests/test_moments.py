@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from shiftweight import (CategoricalSynthConfig, DataError, NonFiniteInput,
-                         ShiftWeightError, e1_direct,
+                         RegressionSynthConfig, ShiftWeightError, e1_direct,
                          estimate_categorical_moments,
                          estimate_kernel_moments, gen_categorical,
-                         population_moments_categorical, split_alpha,
-                         train_kernel_regressor, train_simplex)
+                         gen_regression, population_moments_categorical,
+                         split_alpha, train_kernel_regressor, train_simplex)
 from shiftweight.datagen import class_centers, label_masses
 from shiftweight.predictors import (FACTOR_TOL, gaussian_gram,
                                     gaussian_pivoted_cholesky)
@@ -328,3 +328,17 @@ def test_kernel_moments_reject_non_finite_inputs(bad):
         assert exc.value.field == field
         assert isinstance(exc.value, ValueError)
         assert isinstance(exc.value, ShiftWeightError)
+
+
+def test_kernel_moments_phi_owns_its_data():
+    """KernelMoments.phi is an owned copy of the factor's r kept columns, so
+    it does not keep the factor's column buffer (at least 32 columns) alive:
+    at N = 4000 that buffer is 4000 x 32 for a rank of about 9."""
+    ds = gen_regression(RegressionSynthConfig(0.2, 0.8, seed=3), 8000, 8000)
+    sp = split_alpha(ds, 0.5, seed=3)
+    u = train_kernel_regressor((sp.erm_x, sp.erm_y))
+    km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
+    phi = gaussian_pivoted_cholesky(km.anchors, km.bandwidth)[0]
+    assert km.n_est == 4000 and phi.base.shape == (4000, 32)
+    assert km.phi.flags.owndata and km.phi.flags.f_contiguous
+    np.testing.assert_array_equal(km.phi, phi)

@@ -7,8 +7,9 @@ from shiftweight import (CategoricalSynthConfig, RegressionSynthConfig,
                          gaussian_gram, gen_categorical, gen_regression,
                          train_hypercube, train_kernel_regressor,
                          train_simplex, weighted_erm)
-from shiftweight.predictors import (feature_plan, fit_multinomial_logistic,
-                                    rbf_features)
+from shiftweight.predictors import (GramFactor, feature_plan,
+                                    fit_multinomial_logistic,
+                                    gaussian_pivoted_cholesky, rbf_features)
 
 
 def _blobs(rng, k, per_class, spread=0.05, gap=10.0):
@@ -203,6 +204,16 @@ def test_statistic_fn_metadata():
     assert h.mode == "HyperCube" and h.output_dim == 4 and h.coef is None
     np.testing.assert_array_equal(
         g.coef, fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 4))
+    # u.coef is the Gram factor of u's training covariates, bit for bit, in
+    # owned arrays: not a view of the factor's wider column buffer
     x2 = np.linspace(0, 1, 12)
-    u = train_kernel_regressor((x2, x2))
-    assert u.mode == "KernelRegressor" and u.output_dim == 1 and u.coef is None
+    u = train_kernel_regressor((x2, x2), bandwidth=0.7)
+    assert u.mode == "KernelRegressor" and u.output_dim == 1
+    phi, pivots, _ = gaussian_pivoted_cholesky(x2, 0.7)
+    assert isinstance(u.coef, GramFactor) and u.coef.bandwidth == 0.7
+    np.testing.assert_array_equal(u.coef.points, x2)
+    np.testing.assert_array_equal(u.coef.phi, phi)
+    np.testing.assert_array_equal(u.coef.pivots, pivots)
+    assert phi.base.shape[1] > phi.shape[1]
+    assert u.coef.points.flags.owndata and u.coef.phi.flags.owndata
+    assert u.coef.phi.flags.f_contiguous

@@ -6,7 +6,7 @@ kink in that regime at reg_scale 0.1 and gives the same numbers, bit for
 bit, so these checks cover it too.  On the kernel path, where the bound is
 vacuous at every affordable n, a rate test is the check that can fail: E3
 at the runner's defaults, seeds 0-19, n = m in {500, 2000, 8000}, no ERM
-(about 0.2 s for the 60 cells).
+(about 0.2 s for the 60 cells), and E4 on the same cells at reg_scale 0.1.
 
 The bands come from the spread over seeds 0-119 (categorical) and 0-399
 (kernel), measured on a 2-core x86-64 machine, one BLAS thread."""
@@ -75,3 +75,24 @@ def test_e3_median_relative_error_falls_with_n():
                for n in KERNEL_NS]
     slope = float(np.polyfit(np.log(KERNEL_NS), np.log(medians), 1)[0])
     assert slope <= -0.25, f"slope {slope:.3f}, medians {medians}"
+
+
+def test_e4_median_relative_error_falls_with_n():
+    """The log-log slope of E4's across-seed median relative_error against n,
+    at the runner's auto radius with reg_scale 0.1, is at most -0.1.  Seeds
+    0-19 give medians 0.296, 0.264 and 0.206, a slope of -0.13.  Over the 20
+    disjoint groups of twenty seeds in 0-399 the slope runs from -0.146 to
+    -0.124 (median -0.137), so the gate holds on every group with a margin
+    as wide as that spread; per-seed slopes run from -0.19 to -0.08.  E4's
+    regularization bias slows it against E3: at reg_scale 1.0 the bias
+    dominates and the slope is -0.02, which this gate fails, as it would an
+    estimator that stopped converging."""
+    cfg = build_config({"scenario": "functional_vs_n", "estimator": "E4",
+                        "reg_scale": 0.1, "sweep": KERNEL_NS,
+                        "seeds": KERNEL_SEEDS})
+    rel = {(r["seed"], r["n"]): r["relative_error"]
+           for r in run_experiment(cfg) if r["seed"] != "median"}
+    medians = [np.median([rel[seed, n] for seed in KERNEL_SEEDS])
+               for n in KERNEL_NS]
+    slope = float(np.polyfit(np.log(KERNEL_NS), np.log(medians), 1)[0])
+    assert slope <= -0.1, f"slope {slope:.3f}, medians {medians}"
