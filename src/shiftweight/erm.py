@@ -19,7 +19,8 @@ logger = logging.getLogger("shiftweight")
 
 class FittedModel:
     """Minimal trained predictor: class labels for logistic, reals for kernel
-    ridge.  k is a logistic model's class count (None: not known)."""
+    ridge.  k is a logistic model's class count (None: not known).  NaN or
+    inf covariates raise NonFiniteInput."""
 
     def __init__(self, family, fn, k=None):
         self.family = family
@@ -27,7 +28,9 @@ class FittedModel:
         self._fn = fn
 
     def predict(self, x):
-        return self._fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        require_finite(covariates=x)
+        return self._fn(x)
 
 
 @dataclass

@@ -19,7 +19,7 @@ class StatisticFn:
     the softmax weights of the simplex statistic (a Newton start for
     logistic fits), the GramFactor of the kernel regressor's training
     covariates (the factor kernel-ridge ERM would build), None on the
-    hypercube statistic."""
+    hypercube statistic.  NaN or inf covariates raise NonFiniteInput."""
 
     def __init__(self, mode, output_dim, fn, coef=None):
         self.mode = mode
@@ -28,7 +28,9 @@ class StatisticFn:
         self._fn = fn
 
     def __call__(self, x):
-        return self._fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        require_finite(covariates=x)
+        return self._fn(x)
 
 
 # ===================== shared feature machinery =====================
@@ -110,6 +112,23 @@ def _safe_spd_solve(a, b):
 # ===================== categorical statistics =====================
 
 REG = 1e-4                  # ridge on the logistic weights; the Hessian is >= REG I
+# The least-squares start's ridge, C n REG, is the objective's REG in the
+# units of the start's Gram F^T W F.  Near the minimizer the loss's Hessian
+# along one class's logits is about F^T W diag(c) F / n + REG I for a
+# logit-space curvature c = p (1 - p) <= 1/4; times n / c that is
+# F^T W F + (n REG / c) I, so C = 1/c.  C = 16 (c = 1/16) is a fixed
+# constant, not a setting.  A c taken from the data, the mean curvature of
+# the least-squares probabilities, divides by zero at k = 2 with one class
+# weighted 0.
+# Newton steps from the start, unit and linspace(0.5, 2, k) class weights,
+# summed over 20 fits per cell (ERM splits at n = m = 8000, noise_std 0.5,
+# seeds 101000-101009; noise cells at k = 4, n = m = 4000, seeds 300-309):
+#
+#   ridge             k=2  k=3  k=4  k=6  k=8   noise 0.1 / 0.3 / 1.0
+#   1e-8 tr/p         102  127  135  139  134   150 / 139 / 120
+#   8 n REG            88  106  111  125  133   147 / 130 / 102
+#   16 n REG           93  103  107  120  133   142 / 128 / 101
+C = 16
 NEWTON_TOL = 1e-14          # stop once the Newton decrement is at most this
 NEWTON_MAX_STEPS = 50
 
@@ -119,14 +138,16 @@ def _least_squares_start(feats, onehot, w, g):
     start.  The w-weighted one-hot least squares F W_ls ~ onehot estimates
     the reweighted class posterior, so no class-weight term is needed; the
     start regresses log max(F W_ls, 1/n) on F with the same Gram.  Both
-    solves take train_hypercube's ridge jitter, 1e-8 max(tr/p, 1).  The
-    weighted features sqrt(w) F are written into g, the caller's n x p
-    scratch, so no copy of the features is made."""
+    solves take the ridge C n REG, the logistic objective's own ridge in
+    the Gram's units, so the start stays small along near-null directions
+    of the features, as the minimizer does.  The weighted features
+    sqrt(w) F are written into g, the caller's n x p scratch, so no copy of
+    the features is made."""
     n, p = feats.shape
     sw = np.sqrt(w)
     np.multiply(feats, sw[:, None], out=g)
     gram = g.T @ g
-    gram += 1e-8 * max(float(np.trace(gram)) / p, 1.0) * np.eye(p)
+    gram += C * n * REG * np.eye(p)
     W_ls = _safe_spd_solve(gram, ((onehot * sw) @ g).T)
     logp = np.log(np.maximum(W_ls.T @ feats.T, 1.0 / n))      # (k, n)
     return _safe_spd_solve(gram, ((logp * sw) @ g).T)

@@ -3,6 +3,7 @@
 import csv
 import logging
 
+import numpy as np
 import pytest
 
 from shiftweight import experiments
@@ -118,6 +119,19 @@ def test_a_bug_is_not_reported_as_a_numerical_failure(tmp_path, capsys,
 
     monkeypatch.setattr(experiments, "e1_direct", broken)
     with pytest.raises(ValueError, match="not a ShiftWeightError"):
+        main(["run", _write(tmp_path, GOOD), "--quiet"])
+    assert "numerical failure" not in capsys.readouterr().err
+
+
+def test_a_raw_linalg_error_is_not_reported_as_a_numerical_failure(
+        tmp_path, capsys, monkeypatch):
+    """Every numerical failure the package knows of is a ShiftWeightError;
+    a raw LinAlgError escaping a stage is a bug, not exit 3."""
+    def broken(mom):
+        raise np.linalg.LinAlgError("raw numpy failure")
+
+    monkeypatch.setattr(experiments, "e1_direct", broken)
+    with pytest.raises(np.linalg.LinAlgError, match="raw numpy failure"):
         main(["run", _write(tmp_path, GOOD), "--quiet"])
     assert "numerical failure" not in capsys.readouterr().err
 

@@ -63,6 +63,29 @@ def test_non_finite_input_is_named(entry):
         assert exc.value.field == "labels"
 
 
+TRAINED_PREDICTORS = {
+    "simplex_statistic": lambda: train_simplex(_sample(), 3),
+    "hypercube_statistic": lambda: train_hypercube(_sample(), 3),
+    "kernel_statistic": lambda: train_kernel_regressor(_sample()),
+    "logistic_model": lambda: weighted_erm(
+        _sample(), np.ones(3), "logistic").model.predict,
+    "kernel_ridge_model": lambda: weighted_erm(
+        _sample(), lambda ys: np.ones(len(ys)), "kernel_ridge").model.predict,
+}
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("name", sorted(TRAINED_PREDICTORS))
+def test_trained_predictor_rejects_non_finite_covariates(name, bad):
+    """Without the check, NaN gave NaN rows or values (class 0 from the
+    logistic model's argmax), and inf made every Gaussian bump 0, so the
+    outputs were those of the constant term alone."""
+    predict = TRAINED_PREDICTORS[name]()
+    with pytest.raises(NonFiniteInput) as exc:
+        predict(np.array([0.5, bad, 1.5]))
+    assert exc.value.field == "covariates"
+
+
 CLASS_LABEL_ENTRY_POINTS = {
     "train_simplex": ENTRY_POINTS["train_simplex"],
     "train_hypercube": ENTRY_POINTS["train_hypercube"],
