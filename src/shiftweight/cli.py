@@ -2,6 +2,7 @@
 
 import argparse
 import logging
+import os
 import sys
 
 from .errors import ConfigError, ShiftWeightError
@@ -43,6 +44,18 @@ def main(argv=None):
         logger.setLevel(level)
 
 
+def _check_writable(path):
+    """Raises ConfigError when the CSV could not be written to path: its
+    directory is missing or not writable, or path is a directory or a file
+    that is not writable.  Checked before the sweep, so a bad path costs no
+    run."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(directory) \
+            or not os.access(directory, os.W_OK) \
+            or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ConfigError(f"cannot write output {path!r}", field="out")
+
+
 def _run(args):
     seeds = None
     if args.seeds is not None:
@@ -54,6 +67,8 @@ def _run(args):
 
     try:
         cfg = load_config(args.config, seeds_override=seeds, out_override=args.out)
+        if cfg.out:
+            _check_writable(cfg.out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -234,12 +234,13 @@ def _run_categorical_cell(cfg, k, n, m, seed):
     target_risk = None
     if cfg.run_erm:
         weights = blend_gamma(est.theta_hat, cfg.gamma)
-        start = g.coef
-        if start is not None and np.all(weights > 0):
+        start = None            # the least-squares start
+        if g.coef is not None and np.all(weights > 0):
             # Prior-shift correction of the unweighted posterior (Saerens,
             # Latinne & Decaestecker 2002): the class weights enter the
             # logits as log-weights on the intercept, the last feature.
-            start = start.copy()
+            # Without it, g.coef is far from the weighted minimizer.
+            start = g.coef.copy()
             start[-1] += np.log(weights)
         fit = weighted_erm((sp.erm_x, sp.erm_y), weights, "logistic", k=k,
                            start=start)

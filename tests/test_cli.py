@@ -61,6 +61,26 @@ def test_bad_seeds_flag_exits_two(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ("missing_dir", "a_directory", "config_key"))
+def test_unwritable_out_exits_two_before_the_sweep(tmp_path, capsys,
+                                                   monkeypatch, where):
+    """An --out (or config out) in a missing directory, or naming a
+    directory, is a config fault: exit 2 before any cell runs, instead of a
+    raw OSError once the whole sweep has run."""
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiments, "_run_categorical_cell", no_cell)
+    missing = str(tmp_path / "missing" / "x.csv")
+    if where == "config_key":
+        argv = ["run", _write(tmp_path, GOOD + f"out = {missing}\n")]
+    else:
+        out = missing if where == "missing_dir" else str(tmp_path)
+        argv = ["run", _write(tmp_path, GOOD), "--out", out]
+    assert main(argv + ["--quiet"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_seeds_override_shrinks_run(tmp_path):
     out = tmp_path / "result.csv"
     code = main(["run", _write(tmp_path, GOOD), "--out", str(out),

@@ -2,8 +2,10 @@
 logistic ERM: convergence to the minimizer, agreement with a dense Newton
 reference from the default least-squares start and from a warm start,
 independence of the feature layout, typed failures at the cap and on bad
-labels, weights or starts, the runner's prior-shifted ERM start, and the
-Newton steps each start takes."""
+labels, weights or starts, the runner's prior-shifted ERM start, the
+Newton steps each start takes, and the conjugate-gradient directions of the
+later steps: exact Hessian products, the fallback to an assembled Hessian
+and the assemblies each fit makes."""
 
 import warnings
 
@@ -15,9 +17,11 @@ from shiftweight import (CategoricalSynthConfig, DataError, IllConditioned,
                          NonFiniteInput, build_config, gen_categorical,
                          split_alpha, train_simplex)
 from shiftweight import experiments, predictors
-from shiftweight.predictors import (NEWTON_MAX_STEPS, NEWTON_TOL, REG,
-                                    _safe_spd_solve, feature_plan,
-                                    fit_multinomial_logistic, rbf_features)
+from shiftweight.predictors import (HESSIAN_ASSEMBLIES, NEWTON_MAX_STEPS,
+                                    NEWTON_TOL, REG, _assemble_hessian,
+                                    _hessian_product, _safe_spd_solve,
+                                    feature_plan, fit_multinomial_logistic,
+                                    rbf_features)
 
 
 def dense_newton_reference(feats, y, k, w):
@@ -85,6 +89,23 @@ def test_benchmark_erm_fits_match_the_dense_reference(seed, weighted):
     w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
     _assert_matches_reference(rbf_features(x, centers, scale), y, 4, w,
                               rbf_features(ds.target_x, centers, scale))
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("k, noise_std", ((8, 0.5), (4, 0.1)))
+def test_hard_erm_fits_match_the_dense_reference(k, noise_std, weighted):
+    """The fits where conjugate gradients work hardest: k = 8, and
+    noise_std 0.1, whose separated classes leave hundreds of subnormal
+    feature entries on these splits (486-2235 on seeds 101000-101002)."""
+    for seed in (101000, 101001, 101002):
+        ds = gen_categorical(CategoricalSynthConfig(k, noise_std, seed),
+                             8000, 8000)
+        sp = split_alpha(ds, 0.5, seed=seed)
+        x, y = sp.erm_x, sp.erm_y
+        centers, scale = feature_plan(x)
+        w = np.linspace(0.5, 2.0, k)[y] if weighted else np.ones(len(y))
+        _assert_matches_reference(rbf_features(x, centers, scale), y, k, w,
+                                  rbf_features(ds.target_x, centers, scale))
 
 
 @pytest.mark.parametrize("weighted", (False, True))
@@ -191,6 +212,98 @@ def test_fit_reaches_the_minimizer(weighted):
     assert np.linalg.norm(grad) <= 1e-10
 
 
+@pytest.mark.parametrize("weighting", ("unit", "per_class", "one_class_zero"))
+@pytest.mark.parametrize("k", (2, 4, 6))
+def test_hessian_product_matches_the_assembled_hessian(k, weighting):
+    """The products conjugate gradients take equal the assembled Hessian
+    times the direction, up to rounding."""
+    ds = gen_categorical(CategoricalSynthConfig(k, 0.5, 700 + k), 1500, 1500)
+    x, y = ds.source_x, ds.source_y
+    feats = rbf_features(x, *feature_plan(x))
+    p = feats.shape[1]
+    w = {"unit": np.ones(k),
+         "per_class": np.linspace(0.5, 2.0, k),
+         "one_class_zero": np.r_[np.ones(k - 1), 0.0]}[weighting][y]
+    rng = np.random.default_rng(k)
+    probs = softmax(feats @ rng.normal(size=(p, k)), axis=1).T.copy()
+    hess = _assemble_hessian(feats, w, probs, np.empty_like(feats))
+    for _ in range(3):
+        V = rng.normal(size=(k, p))
+        expected = (hess @ V.reshape(-1)).reshape(k, p)
+        got = _hessian_product(feats, w, probs, V)
+        assert np.linalg.norm(got - expected) <= \
+            1e-13 * np.linalg.norm(expected)
+
+
+def _benchmark_erm_fit_inputs():
+    """The six benchmark ERM-split fits: seeds 101000-101002, unit and
+    linspace(0.5, 2, 4) class weights."""
+    for seed in (101000, 101001, 101002):
+        ds = gen_categorical(CategoricalSynthConfig(4, 0.5, seed), 8000, 8000)
+        sp = split_alpha(ds, 0.5, seed=seed)
+        x, y = sp.erm_x, sp.erm_y
+        feats = rbf_features(x, *feature_plan(x))
+        for w in (np.ones(len(y)), np.linspace(0.5, 2.0, 4)[y]):
+            yield feats, y, w
+
+
+def test_benchmark_erm_fits_assemble_at_most_two_hessians(monkeypatch):
+    """A timing-free guard on the fit's cost: an assembly costs about 20x a
+    Hessian product, and each benchmark ERM fit assembles only at its first
+    two iterates (it takes 5-6 Newton steps; 31 over these six fits)."""
+    assemblies = _counting_assemblies(monkeypatch)
+    per_fit = []
+    for feats, y, w in _benchmark_erm_fit_inputs():
+        before = len(assemblies)
+        fit_multinomial_logistic(feats, y, 4, sample_weight=w)
+        per_fit.append(len(assemblies) - before)
+    assert max(per_fit) <= 2
+
+
+def test_cg_fallback_reproduces_the_assembled_newton_fit(monkeypatch):
+    """With the CG cap at 0 every later iterate falls back to assembling its
+    Hessian, and W is bit for bit the W of the fit that assembles at every
+    iterate, as the fit did before its CG steps."""
+    for feats, y, w in _benchmark_erm_fit_inputs():
+        monkeypatch.setattr(predictors, "HESSIAN_ASSEMBLIES", NEWTON_MAX_STEPS)
+        W_assembled = fit_multinomial_logistic(feats, y, 4, sample_weight=w)
+        monkeypatch.undo()
+        monkeypatch.setattr(predictors, "CG_MAX_ITER", 0)
+        steps = _counting_directions(monkeypatch)
+        assemblies = _counting_assemblies(monkeypatch)
+        W_fallback = fit_multinomial_logistic(feats, y, 4, sample_weight=w)
+        monkeypatch.undo()
+        assert len(assemblies) == len(steps) > HESSIAN_ASSEMBLIES
+        np.testing.assert_array_equal(W_fallback, W_assembled)
+
+
+@pytest.mark.parametrize("fault, message", (
+    (np.negative, "Cholesky"), (lambda a: a * np.nan, "NaN or inf")))
+def test_a_bad_hessian_at_a_cg_iterate_raises(monkeypatch, fault, message):
+    """Products whose curvature is negative, or NaN, make CG give up; the
+    iterate then assembles its Hessian, and one that is not positive
+    definite, or not finite, raises IllConditioned from _safe_spd_solve."""
+    assemblies, products = [], []
+
+    def assemble(*args):
+        assemblies.append(None)
+        hess = _assemble_hessian(*args)
+        return hess if len(assemblies) <= HESSIAN_ASSEMBLIES else fault(hess)
+
+    def product(*args):
+        products.append(None)
+        return fault(_hessian_product(*args))
+
+    monkeypatch.setattr(predictors, "_hessian_product", product)
+    monkeypatch.setattr(predictors, "_assemble_hessian", assemble)
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 704), 1500, 1500)
+    x, y = ds.source_x, ds.source_y
+    feats = rbf_features(x, *feature_plan(x))
+    with pytest.raises(IllConditioned, match=message):
+        fit_multinomial_logistic(feats, y, 4, start=np.zeros((33, 4)))
+    assert len(assemblies) == HESSIAN_ASSEMBLIES + 1 and len(products) == 1
+
+
 def test_fit_raises_instead_of_returning_a_capped_iterate(monkeypatch):
     monkeypatch.setattr(predictors, "NEWTON_MAX_STEPS", 1)
     rng = np.random.default_rng(11)
@@ -200,21 +313,34 @@ def test_fit_raises_instead_of_returning_a_capped_iterate(monkeypatch):
         train_simplex((x, y), 3)
 
 
-def _counting_solves(monkeypatch):
-    """Wraps _safe_spd_solve; returns the list of Newton decrements b^T x
-    of the vector solves it sees, one per Newton step.  The least-squares
-    start's two solves take one column per class and are not recorded."""
+def _counting_directions(monkeypatch):
+    """Wraps _newton_direction; returns the list of Newton decrements
+    g^T H^-1 g of the directions it gives, one per Newton step, whether the
+    direction came from an assembled Hessian or from conjugate gradients."""
     decrements = []
-    real_solve = predictors._safe_spd_solve
+    real_direction = predictors._newton_direction
 
-    def solve(a, b):
-        x = real_solve(a, b)
-        if np.ndim(b) == 1:
-            decrements.append(float(b @ x))
-        return x
+    def direction(grad, *args):
+        step, hess = real_direction(grad, *args)
+        decrements.append(float(np.sum(grad * step)))
+        return step, hess
 
-    monkeypatch.setattr(predictors, "_safe_spd_solve", solve)
+    monkeypatch.setattr(predictors, "_newton_direction", direction)
     return decrements
+
+
+def _counting_assemblies(monkeypatch):
+    """Wraps _assemble_hessian; returns the list it appends one entry to
+    per Hessian assembled."""
+    assemblies = []
+    real_assemble = predictors._assemble_hessian
+
+    def assemble(*args):
+        assemblies.append(None)
+        return real_assemble(*args)
+
+    monkeypatch.setattr(predictors, "_assemble_hessian", assemble)
+    return assemblies
 
 
 def _erm_steps(monkeypatch, seed, start, **config):
@@ -222,7 +348,7 @@ def _erm_steps(monkeypatch, seed, start, **config):
     the runner's E2 cell at n = m = 8000 with reg_scale 0.1; config
     overrides its keys.  start "runner" keeps the runner's start, "none"
     passes None (the least-squares start) and "zeros" a zero start."""
-    decrements = _counting_solves(monkeypatch)
+    decrements = _counting_directions(monkeypatch)
     steps = []
     real_erm = experiments.weighted_erm
 
@@ -283,7 +409,7 @@ def test_least_squares_start_lands_near_the_minimizer(monkeypatch):
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 101000), 8000, 8000)
     sp = split_alpha(ds, 0.5, seed=101000)
     x, y = sp.erm_x, sp.erm_y
-    decrements = _counting_solves(monkeypatch)
+    decrements = _counting_directions(monkeypatch)
     fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 4)
     assert decrements[0] < 1.0
 
@@ -306,7 +432,7 @@ def test_default_start_steps_do_not_rise(monkeypatch, k, noise_std):
     under the start's former ridge."""
     n, seeds = (8000, range(101000, 101003)) if noise_std == 0.5 \
         else (4000, range(300, 303))
-    decrements = _counting_solves(monkeypatch)
+    decrements = _counting_directions(monkeypatch)
     for seed in seeds:
         ds = gen_categorical(CategoricalSynthConfig(k, noise_std, seed), n, n)
         sp = split_alpha(ds, 0.5, seed=seed)
@@ -354,9 +480,22 @@ def test_runner_shifts_the_erm_start_by_the_log_weights(monkeypatch):
 
 def test_runner_skips_the_shift_when_a_weight_is_not_positive(monkeypatch):
     """E1 at n = 60, seed 0, estimates one class weight below zero, where
-    the log is undefined: the ERM fit starts from coef unshifted and the
-    cell runs without a RuntimeWarning."""
-    coef, weights, start = _runner_erm_start(
+    the log is undefined: the ERM fit takes the least-squares start
+    (start None), not coef unshifted, which is far from the weighted
+    minimizer, and the cell runs without a RuntimeWarning."""
+    _, weights, start = _runner_erm_start(
         monkeypatch, {"estimator": "E1", "n": 60, "seeds": (0,)})
     assert weights.min() <= 0
-    assert start is coef
+    assert start is None
+
+
+def test_runner_start_without_the_shift_takes_the_least_squares_steps(
+        monkeypatch):
+    """E1 at k = 4, n = 2000 estimates a weight at or below zero on seeds
+    31 and 32 (-0.843 and -0.04).  There the runner's ERM fit takes the
+    least-squares start's 7 and 6 Newton steps; from coef unshifted it
+    took 14 and 13."""
+    for seed in (31, 32):
+        assert _erm_steps(monkeypatch, seed, "runner", estimator="E1",
+                          n=2000) \
+            == _erm_steps(monkeypatch, seed, "none", estimator="E1", n=2000)
