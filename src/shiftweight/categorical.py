@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .concentration import _check_delta, categorical_radii
 from .errors import SingularOperator, require_finite
 
 RANK_TOL = 1e-12            # relative singular value cutoff
@@ -20,13 +21,13 @@ class CategoricalWeightEstimate:
 
 
 def _svd_checked(T_hat):
-    """Thin SVD (U, s, Vt) of the finite d x k matrix T_hat, and whether T_hat
-    has full column rank k: k singular values (d >= k), the smallest above
-    RANK_TOL times the largest."""
+    """Thin SVD (U, s, Vt) of the finite d x k matrix T_hat, and ||T_hat^+||:
+    1 / sigma_min when T_hat has full column rank k (k singular values,
+    d >= k, the smallest above RANK_TOL times the largest), inf otherwise."""
     require_finite(T_hat=T_hat)
     U, s, Vt = np.linalg.svd(T_hat, full_matrices=False)
-    full_rank = bool(len(s) == T_hat.shape[1] > 0 and s[-1] > RANK_TOL * s[0])
-    return U, s, Vt, full_rank
+    full_rank = len(s) == T_hat.shape[1] > 0 and s[-1] > RANK_TOL * s[0]
+    return U, s, Vt, float(1.0 / s[-1]) if full_rank else math.inf
 
 
 def _shift_vector(mom):
@@ -43,8 +44,8 @@ def e1_direct(mom, alpha=None, n=None, delta=None):
     """
     T = np.asarray(mom.T_hat, dtype=float)
     d, k = T.shape
-    U, s, Vt, full_rank = _svd_checked(T)
-    if not full_rank:
+    U, s, Vt, op_inv_norm = _svd_checked(T)
+    if op_inv_norm == math.inf:
         raise SingularOperator(f"forward operator lacks full column rank k={k}",
                                spectrum=s)
     r = _shift_vector(mom)
@@ -52,7 +53,7 @@ def e1_direct(mom, alpha=None, n=None, delta=None):
     diag = {
         "sigma_min": float(s[-1]),
         "sigma_max": float(s[0]),
-        "op_inv_norm": float(1.0 / s[-1]),
+        "op_inv_norm": op_inv_norm,
         "burn_in_ok": None,
     }
     if alpha is not None and n is not None and delta is not None:
@@ -61,23 +62,17 @@ def e1_direct(mom, alpha=None, n=None, delta=None):
 
 
 def check_burn_in_categorical(mom, d, k, alpha, n, delta):
-    """True iff n meets the direct-estimator sample threshold.
-
-    Uses the empirical pseudo-inverse norm of T_hat as a proxy for the
-    population quantity (which is not observable); an operator without full
-    column rank gives an infinite threshold and hence False.  A NaN alpha or
-    n raises ValueError.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (alpha > 0 and n >= 0):
-        raise ValueError("alpha must be positive and n nonnegative")
-    _, s, _, full_rank = _svd_checked(np.asarray(mom.T_hat, dtype=float))
-    if not full_rank:
-        return False
-    inv_norm = 1.0 / s[-1]
-    required = (32.0 / alpha) * inv_norm ** 2 * d * math.log(6.0 * (d + k) / delta)
-    return bool(n >= required)
+    """True iff n is past burn-in, 2 ||T_hat^+|| delta_T <= 1 with delta_T
+    from categorical_radii at delta / 3.  ||T_hat^+|| stands in for the
+    unobservable population norm; without full column rank it is inf and
+    the check fails.  A NaN alpha or n, or n = 0, raises ValueError."""
+    _check_delta(delta)     # the radii at delta / 3 would accept [1, 3)
+    if not (alpha > 0 and n > 0):
+        raise ValueError("alpha and n must be positive")
+    _, _, _, op_inv_norm = _svd_checked(np.asarray(mom.T_hat, dtype=float))
+    # delta_T does not depend on the target count m
+    delta_T = categorical_radii(d, k, alpha, n, n, delta / 3.0)[2]
+    return bool(2.0 * op_inv_norm * delta_T <= 1.0)
 
 
 # ===================== E2: regularized program =====================
@@ -113,7 +108,7 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
     if not theta_cap > 0:
         raise ValueError("theta_cap must be positive")
     T = np.asarray(mom.T_hat, dtype=float)
-    U, s, Vt, full_rank = _svd_checked(T)
+    U, s, Vt, op_inv_norm = _svd_checked(T)
     b = _shift_vector(mom)
     c = U.T @ b
     smax = float(s[0]) if len(s) else 0.0
@@ -182,7 +177,7 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
         "sigma_min": float(s[-1]),
         "sigma_max": smax,
         # inf where E1 raises and check_burn_in_categorical returns False
-        "op_inv_norm": float(1.0 / s[-1]) if full_rank else float("inf"),
+        "op_inv_norm": op_inv_norm,
         "objective": _objective(T, b, delta_T, theta),
         "iterations": evals,
         "solution_path": how,

@@ -1,6 +1,7 @@
 """Seeded experiment sweeps over the synthetic generators, with CSV output."""
 
 import logging
+import statistics
 import time
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
@@ -324,7 +325,7 @@ def _summaries(rows):
                        burn_in_ok=all(r["burn_in_ok"] for r in group))
         for col in ("relative_error", "epsilon_delta", "target_risk", "wall_ms"):
             values = [r[col] for r in group]
-            summary[col] = None if None in values else float(np.median(values))
+            summary[col] = None if None in values else float(statistics.median(values))
         out.append(summary)
     return out
 

@@ -12,11 +12,11 @@ Both estimators and the bound's proxy read one thin SVD B = U diag(s) V^T and
 one rank rule: a direction is kept when s^2 > EIG_TOL * s_max^2.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .concentration import _check_delta, functional_radii
 from .errors import SingularOperator, require_finite
 from .predictors import gaussian_gram, pivot_coefficients
 
@@ -133,15 +133,14 @@ def operator_inverse_norm_proxy(km):
 
 
 def check_burn_in_functional(n, alpha, delta, kappa_bar, op_inv_norm_proxy):
-    """True iff n meets the direct-estimator sample threshold for the kernel
-    path.  An infinite proxy gives an infinite threshold and hence False; a
-    NaN input raises ValueError."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (alpha > 0 and n >= 0):
-        raise ValueError("alpha must be positive and n nonnegative")
+    """True iff n is past burn-in on the kernel path, 2 proxy delta_T <= 1
+    with delta_T from functional_radii at delta / 3.  An infinite proxy
+    fails; a NaN input, or n = 0, raises ValueError."""
+    _check_delta(delta)     # the radii at delta / 3 would accept [1, 3)
+    if not (alpha > 0 and n > 0):
+        raise ValueError("alpha and n must be positive")
     if not (kappa_bar >= 0 and op_inv_norm_proxy >= 0):
         raise ValueError("kappa_bar and the proxy must be nonnegative")
-    required = (32.0 / alpha) * op_inv_norm_proxy ** 2 * kappa_bar ** 2 \
-        * math.log(6.0 / delta)
-    return bool(n >= required)
+    # delta_T does not depend on the target count m
+    delta_T = functional_radii(alpha, n, n, delta / 3.0, kappa_bar)[2]
+    return bool(2.0 * op_inv_norm_proxy * delta_T <= 1.0)

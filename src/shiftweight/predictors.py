@@ -254,6 +254,18 @@ def _newton_direction(grad, assemble, product, precond):
     return _safe_spd_solve(hess, grad.reshape(-1)).reshape(grad.shape), hess
 
 
+def _softmax(z):
+    """Probabilities over axis 0 of the (k, n) logits z, which it max-shifts
+    in place, and the log normalizer log sum_a exp(z_a) of the shifted z.
+    Sums follow z's memory order: on the transpose of a row-major (n, k)
+    array they are a row-major softmax's, bit for bit."""
+    z -= z.max(axis=0)
+    ez = np.exp(z)
+    total = ez.sum(axis=0)
+    ez /= total
+    return ez, np.log(total)
+
+
 def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
     """Minimizes sum_i w_i CE_i / n + REG/2 ||W||^2 over the (p, k) softmax
     weights W by damped Newton from start (when None, the least-squares
@@ -299,12 +311,9 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
     def state(W):
         """Loss at W and the softmax probabilities, from one pass over the logits."""
         z = W.T @ feats.T
-        z -= z.max(axis=0)
-        ez = np.exp(z)
-        total = ez.sum(axis=0)
-        ce = np.log(total) - np.take_along_axis(z, y[None, :], axis=0)[0]
-        ez /= total
-        return w @ ce / n + 0.5 * REG * np.sum(W * W), ez
+        probs, log_total = _softmax(z)
+        ce = log_total - np.take_along_axis(z, y[None, :], axis=0)[0]
+        return w @ ce / n + 0.5 * REG * np.sum(W * W), probs
 
     f, probs = state(W)
     # The last assembled Hessian, and its inverse once a CG step needs it
@@ -359,10 +368,7 @@ def train_simplex(train, k):
     logits, _, W = logistic_fit(x, y, k)
 
     def probs(xq):
-        # softmax by max-shift, exp and normalize
-        z = logits(xq)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(logits(xq).T)[0].T
 
     return StatisticFn("Simplex", k, probs, coef=W)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from shiftweight import (NonFiniteInput, SingularOperator,
                          check_burn_in_categorical, confidence_report,
                          e1_direct, e2_regularized)
-from shiftweight.categorical import _objective
+from shiftweight.categorical import _objective, _svd_checked
 from shiftweight.moments import MomentEstimates
 
 # required sample size at ||T_pinv|| = 1, d = k = 2, alpha = 0.5, delta = 0.1:
@@ -282,6 +282,26 @@ def test_e2_op_inv_norm_follows_the_burn_in_rank_rule():
     diag = e2_regularized(singular, 0.01).diagnostics
     assert diag["sigma_min"] == 0.0 and diag["op_inv_norm"] == math.inf
     assert not check_burn_in_categorical(singular, 2, 2, 0.5, 10 ** 9, 0.1)
+
+
+@pytest.mark.parametrize("T", (HAND_T, [[0.6, 0.1, 0.3], [0.1, 0.7, 0.2]],
+                               [[0.8, 0.0], [0.2, 0.0]],
+                               [[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]]),
+                         ids=("full-rank", "wide", "zero-column", "rank-one"))
+def test_svd_checked_states_the_inverse_norm_for_both_estimators(T):
+    """_svd_checked's ||T_hat^+|| is 1 / sigma_min at full column rank and
+    inf on a wide or rank-deficient T_hat.  E1 raises exactly where it is
+    inf and otherwise reports it, and E2 reports it in either case."""
+    mom = _mom(T, np.full(len(T), 0.01))
+    _, s, _, op_inv_norm = _svd_checked(mom.T_hat)
+    if T is HAND_T:
+        assert op_inv_norm == 1.0 / s[-1] and type(op_inv_norm) is float
+        assert e1_direct(mom).diagnostics["op_inv_norm"] == op_inv_norm
+    else:
+        assert op_inv_norm == math.inf
+        with pytest.raises(SingularOperator):
+            e1_direct(mom)
+    assert e2_regularized(mom, 0.01).diagnostics["op_inv_norm"] == op_inv_norm
 
 
 def test_wide_operator_is_rank_deficient_under_one_rule():

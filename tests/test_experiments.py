@@ -374,6 +374,26 @@ def test_summary_burn_in_requires_every_seed():
     assert by_col["burn_in_ok"] == "0" and by_col["seed"] == "median"
 
 
+@pytest.mark.parametrize("values", (
+    [0.3], [0.3, 0.1], [0.5, 0.1, 0.3], [0.4, 0.1, 0.3, 0.2],
+    [1e308, 1.7e308], [0.2, math.inf], [0.2, math.inf, 0.1],
+    [math.inf, math.inf], [-math.inf, 0.5, math.inf, 2.0],
+    list(np.random.default_rng(5).lognormal(size=6)),
+    list(np.random.default_rng(6).lognormal(size=7))))
+def test_summary_medians_are_numpy_medians(values):
+    """The summary row's medians are the floats np.median gives on the same
+    seed list, for odd and even counts and with infinite values.  Where the
+    mean of the middle pair overflows, both give inf; np.median also warns."""
+    rows = [_row(seed=s, relative_error=v, epsilon_delta=v, target_risk=v,
+                 wall_ms=v) for s, v in enumerate(values)]
+    (summary,) = _summaries(rows)
+    with np.errstate(over="ignore"):
+        want = float(np.median(values))
+    for col in ("relative_error", "epsilon_delta", "target_risk", "wall_ms"):
+        assert type(summary[col]) is float
+        assert summary[col] == want
+
+
 def test_csv_roundtrip_row_count():
     rows = [_row(seed=s) for s in range(5)]
     text = rows_to_csv(rows, timestamp="t")
