@@ -103,8 +103,8 @@ def _objective(T, b, delta_T, theta):
 
 def e2_regularized(mom, delta_T, theta_cap=10.0):
     """Regularized estimate; delta_T is the operator confidence radius weight."""
-    if not delta_T >= 0:
-        raise ValueError("delta_T must be nonnegative")
+    if not 0 <= delta_T < math.inf:
+        raise ValueError("delta_T must be finite and nonnegative")
     if not theta_cap > 0:
         raise ValueError("theta_cap must be positive")
     T = np.asarray(mom.T_hat, dtype=float)

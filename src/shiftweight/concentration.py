@@ -72,8 +72,6 @@ class ConfidenceReport:
     delta_q: float
     delta_T: float
     epsilon_delta: float
-    delta: float
-    inputs: dict            # echo of (path, d, k, alpha, n, m, kappa_bar, theta_max, proxy)
 
 
 def confidence_report(path, alpha, n, m, delta, proxy_inv_norm, theta_max,
@@ -89,22 +87,22 @@ def confidence_report(path, alpha, n, m, delta, proxy_inv_norm, theta_max,
     else:
         raise ValueError(f"unknown path {path!r}")
     eps = composite_epsilon(radii, proxy_inv_norm, theta_max)
-    echo = {"path": path, "d": d, "k": k, "alpha": alpha, "n": n, "m": m,
-            "kappa_bar": kappa_bar, "theta_max": theta_max,
-            "proxy_inv_norm": proxy_inv_norm}
-    return ConfidenceReport(radii[0], radii[1], radii[2], eps, delta, echo)
+    return ConfidenceReport(radii[0], radii[1], radii[2], eps)
 
 
-def divergence_report(omega, p_source, grid_points=2001):
+DIVERGENCE_GRID = 2001      # points of the grid on [0, 1] a weight function is read on
+
+
+def divergence_report(omega, p_source):
     """Divergence diagnostics (d_inf, d_second) of a weight against the source marginal.
 
     Categorical: omega and p_source are vectors, d_inf = max omega and
     d_second = sum_i p_i * omega_i^2.  Continuous: omega and p_source are
-    callables on [0, 1]; the sup and the second moment are taken on a fine grid.
+    callables on [0, 1]; the sup and the second moment are taken on the grid.
     Validates omega >= 0 and E_P[omega] = 1 within 1e-6.
     """
     if callable(omega):
-        ys = np.linspace(0.0, 1.0, grid_points)
+        ys = np.linspace(0.0, 1.0, DIVERGENCE_GRID)
         w = np.asarray(omega(ys), dtype=float)
         p = np.asarray(p_source(ys), dtype=float)
         if w.min() < 0:

@@ -1,6 +1,7 @@
 """Synthetic label-shift generators with analytic ground-truth importance weights."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ class CategoricalSynthConfig:
     equal_masses: bool = False
 
     def __post_init__(self):
-        if int(self.num_classes) != self.num_classes or self.num_classes < 2:
+        if not isinstance(self.num_classes, numbers.Integral) or self.num_classes < 2:
             raise ValueError(f"num_classes must be an integer >= 2, got {self.num_classes}")
         if not self.noise_std > 0:
             raise ValueError(f"noise_std must be positive, got {self.noise_std}")
@@ -63,7 +64,6 @@ class Split:
     erm_y: np.ndarray
     est_idx: np.ndarray
     erm_idx: np.ndarray
-    alpha: float
 
 
 def label_masses(cfg):
@@ -176,4 +176,4 @@ def split_alpha(ds, alpha, seed=0):
     erm_idx = np.sort(perm[n_est:])
     return Split(ds.source_x[est_idx], ds.source_y[est_idx],
                  ds.source_x[erm_idx], ds.source_y[erm_idx],
-                 est_idx, erm_idx, alpha)
+                 est_idx, erm_idx)

@@ -67,8 +67,8 @@ def _per_sample_weights(omega, y):
     return w
 
 
-def weighted_erm(erm_split, omega, family="logistic", k=None,
-                 bandwidth=0.9, ridge=1e-2, start=None):
+def weighted_erm(erm_split, omega, family="logistic", k=None, bandwidth=0.9,
+                 start=None):
     """Minimize the weighted surrogate over the chosen family.
 
     omega is a callable evaluated at the labels or, for logistic only, a
@@ -119,7 +119,7 @@ def weighted_erm(erm_split, omega, family="logistic", k=None,
         elif not np.array_equal(start.points, x.reshape(-1)):
             raise DataError("start is the Gram factor of other covariates "
                             "than the ERM split's")
-        fn, fit = kernel_ridge_fit(start, y, w, ridge)
+        fn, fit = kernel_ridge_fit(start, y, w)
         model = FittedModel("kernel_ridge", fn)
         risk = float(np.mean(w * np.clip((fit - y) ** 2, 0.0, 1.0)))
     else:

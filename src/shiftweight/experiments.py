@@ -1,6 +1,7 @@
 """Seeded experiment sweeps over the synthetic generators, with CSV output."""
 
 import logging
+import math
 import statistics
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -141,8 +142,8 @@ def build_config(raw, seeds_override=None, out_override=None):
         raise ConfigError(f"statistic_mode {cfg.statistic_mode!r} invalid for "
                           f"{cfg.estimator}", field="statistic_mode")
 
-    if not cfg.seeds:
-        raise ConfigError("seeds must be nonempty", field="seeds")
+    if not cfg.seeds or min(cfg.seeds) < 0:
+        raise ConfigError("seeds must be nonempty and nonnegative", field="seeds")
     if cfg.scenario != "single_run":
         if not cfg.sweep:
             raise ConfigError(f"{cfg.scenario} needs a sweep", field="sweep")
@@ -150,6 +151,11 @@ def build_config(raw, seeds_override=None, out_override=None):
             raise ConfigError("sweep values must be strictly increasing",
                               field="sweep")
 
+    # every float key (reg when it is not "auto") is finite; the ranges below
+    # would let an inf noise_std, bandwidth, theta_max, reg or reg_scale by
+    for key, value in vars(cfg).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}", field=key)
     checks = [
         (0.0 < cfg.alpha <= 1.0, "alpha", "alpha must lie in (0, 1]"),
         (0.0 <= cfg.gamma <= 1.0, "gamma", "gamma must lie in [0, 1]"),

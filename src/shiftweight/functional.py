@@ -75,8 +75,8 @@ def e4_regularized(km, lam):
     (B^T B + (lam + JITTER) I) a = B^T b in factor coordinates, in closed form
     on the SVD B = U diag(s) V^T: a = V (U^T b / (s + (lam + JITTER) / s)).
     A zero singular value drops its direction."""
-    if not lam >= 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be finite and nonnegative")
     U, s, Vt, _ = _spectrum(km)
     with np.errstate(divide="ignore"):
         shrink = s + (lam + JITTER) / s     # inf where s is 0

@@ -45,7 +45,7 @@ def estimate_categorical_moments(est_split, target_x, g, k):
     """Empirical (T_hat, p_hat, q_hat) from the estimation split and target covariates.
 
     T_hat averages g(x_i) e_{y_i}^T over the split; p_hat and q_hat average g
-    over source and target covariates.
+    over source and target covariates.  g gives one d-vector per point.
     """
     x, y = est_split
     x = np.asarray(x, dtype=float)
@@ -54,18 +54,17 @@ def estimate_categorical_moments(est_split, target_x, g, k):
         raise DataError("empty estimation split or target set")
     require_finite(source_covariates=x, target_covariates=target_x)
     y = class_labels(y, k)
-    gs = np.asarray(g(x), dtype=float)
-    if gs.ndim == 1:
-        gs = gs[:, None]
     n = len(x)
+    gs = np.asarray(g(x), dtype=float)
+    gt = np.asarray(g(target_x), dtype=float)
+    if gs.ndim != 2 or len(gs) != n or gt.shape != (len(target_x), gs.shape[1]):
+        raise DataError(f"g gave shapes {gs.shape} and {gt.shape} for {n} "
+                        f"source and {len(target_x)} target points")
+    require_finite(source_statistic=gs, target_statistic=gt)
     # column j accumulates g over class-j samples
     T_hat = np.array([np.bincount(y, weights=col, minlength=k) for col in gs.T])
     T_hat /= n
     p_hat = T_hat.sum(axis=1)          # same empirical average as mean g, row-summed
-    gt = np.asarray(g(target_x), dtype=float)
-    if gt.ndim == 1:
-        gt = gt[:, None]
-    require_finite(source_statistic=gs, target_statistic=gt)
     q_hat = gt.mean(axis=0)
     return MomentEstimates(T_hat, p_hat, q_hat, n, len(target_x))
 

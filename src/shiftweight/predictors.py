@@ -63,11 +63,11 @@ def rbf_features(x, centers, scale):
     return feats.T
 
 
-def feature_plan(x, n_centers=N_CENTERS):
-    """Deterministic centers (data quantiles) and length scale for the feature map."""
+def feature_plan(x):
+    """Deterministic centers (N_CENTERS quantiles) and length scale for the features."""
     x = np.asarray(x, dtype=float).reshape(-1)
     require_finite(covariates=x)
-    qs = (np.arange(n_centers) + 0.5) / n_centers
+    qs = (np.arange(N_CENTERS) + 0.5) / N_CENTERS
     centers = np.quantile(x, qs)
     gaps = np.diff(np.sort(centers))
     scale = 2.0 * (np.median(gaps) if len(gaps) else 0.0)
@@ -112,6 +112,7 @@ def _safe_spd_solve(a, b):
 # ===================== categorical statistics =====================
 
 REG = 1e-4                  # ridge on the logistic weights; the Hessian is >= REG I
+RIDGE = 1e-2                # ridge of the kernel ridge fits (u and kernel-ridge ERM)
 # The least-squares start's ridge, C n REG, is the objective's REG in the
 # units of the start's Gram F^T W F.  Near the minimizer the loss's Hessian
 # along one class's logits is about F^T W diag(c) F / n + REG I for a
@@ -487,18 +488,16 @@ def gram_factor(x, bandwidth):
     return GramFactor(x, bandwidth, phi.copy(order="F"), pivots)
 
 
-def kernel_ridge_fit(factor, y, w, ridge):
+def kernel_ridge_fit(factor, y, w):
     """Weighted Nystrom kernel ridge regression with an unpenalized mean offset.
 
     On the GramFactor K ~ phi phi^T of the training covariates, solves
-    (ridge I + phi^T W phi) a = phi^T W (y - ybar), with W = diag(w) and
+    (RIDGE I + phi^T W phi) a = phi^T W (y - ybar), with W = diag(w) and
     ybar the w-weighted mean of y.  Returns the predictor
     xq -> kernel(xq, pivots) @ coef + ybar and the in-sample fit
     phi a + ybar (what the predictor gives at the covariates, up to
     rounding).  y holds one label per covariate.
     """
-    if not ridge > 0:
-        raise ValueError("ridge must be positive")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != factor.points.shape:
         raise DataError(f"{len(factor.points)} covariates with {len(y)} labels")
@@ -506,7 +505,7 @@ def kernel_ridge_fit(factor, y, w, ridge):
     ybar = float((w * y).sum() / w.sum())
     phi, pivots = factor.phi, factor.pivots
     phi_w = phi * w[:, None]
-    a = _safe_spd_solve(phi_w.T @ phi + ridge * np.eye(phi.shape[1]),
+    a = _safe_spd_solve(phi_w.T @ phi + RIDGE * np.eye(phi.shape[1]),
                         phi_w.T @ (y - ybar))
     centers = factor.points[pivots]
     coef = pivot_coefficients(phi, pivots, a)
@@ -518,7 +517,7 @@ def kernel_ridge_fit(factor, y, w, ridge):
     return fn, phi @ a + ybar
 
 
-def train_kernel_regressor(train, bandwidth=0.9, ridge=1e-2):
+def train_kernel_regressor(train, bandwidth=0.9):
     """Gaussian kernel ridge regression for u, with an unpenalized mean offset
     (unweighted `kernel_ridge_fit`).  Its coef is the GramFactor of the
     training covariates, which kernel-ridge ERM on the same covariates and
@@ -530,5 +529,5 @@ def train_kernel_regressor(train, bandwidth=0.9, ridge=1e-2):
     if len(x) == 0:
         raise DataError("empty training set")
     factor = gram_factor(x, bandwidth)
-    fn, _ = kernel_ridge_fit(factor, y, np.ones(len(factor.points)), ridge)
+    fn, _ = kernel_ridge_fit(factor, y, np.ones(len(factor.points)))
     return StatisticFn("KernelRegressor", 1, fn, coef=factor)

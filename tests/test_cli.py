@@ -61,6 +61,28 @@ def test_bad_seeds_flag_exits_two(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_negative_seeds_flag_exits_two(tmp_path, capsys):
+    """numpy's raw "expected non-negative integer" used to exit 1 as a bug."""
+    code = main(["run", _write(tmp_path, GOOD), "--seeds=-3", "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "seeds" in err
+
+
+@pytest.mark.parametrize("line", ("seeds = -1", "noise_std = inf",
+                                  "reg = inf", "reg_scale = inf",
+                                  "theta_max = inf", "bandwidth = inf",
+                                  "reg = nan"))
+def test_out_of_range_config_value_exits_two(tmp_path, capsys, line):
+    """Each value used to run: a negative seed exited 1, noise_std = inf
+    exited 3, and the other infinities exited 0 with a NaN objective, an
+    infinite epsilon_delta or a constant kernel."""
+    code = main(["run", _write(tmp_path, GOOD + line + "\n"), "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and line.split()[0] in err
+
+
 @pytest.mark.parametrize("where", ("missing_dir", "a_directory", "config_key"))
 def test_unwritable_out_exits_two_before_the_sweep(tmp_path, capsys,
                                                    monkeypatch, where):

@@ -191,6 +191,16 @@ def test_divergence_report_rejects_non_unit_mean():
         divergence_report(np.array([2.0, 2.0]), np.array([0.5, 0.5]))
 
 
+def test_divergence_report_checks_a_weight_function():
+    """The function path applies the vector path's two checks on its grid."""
+    cfg = RegressionSynthConfig(a=0.2, b=0.8)
+    omega, pdf = true_weight_function(cfg), source_density(cfg)
+    with pytest.raises(ValueError, match="nonnegative"):
+        divergence_report(lambda ys: omega(ys) - 1.0, pdf)
+    with pytest.raises(ValueError, match="expected 1"):
+        divergence_report(lambda ys: 2.0 * omega(ys), pdf)
+
+
 def test_empirical_target_mean_covered_by_radius():
     """Block-empirical validity check: over 200 disjoint target blocks of 2000
     samples each (shared class centers), |q_hat - q| <= Delta_q holds in at

@@ -53,9 +53,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CategoricalSynthConfig(4, noise_std=0.0)
     with pytest.raises(ValueError):
+        # equal to its int, so it used to pass, and gen_categorical then
+        # failed with a raw TypeError from numpy's choice
+        CategoricalSynthConfig(4.0)
+    with pytest.raises(ValueError):
+        RegressionSynthConfig(a=0.2, b=0.8, noise_std=0.0)
+    with pytest.raises(ValueError):
         RegressionSynthConfig(a=0.0, b=0.5)
     with pytest.raises(ValueError):
         RegressionSynthConfig(a=0.5, b=1.0)
+
+
+def test_numpy_integer_class_count_passes():
+    ds = gen_categorical(CategoricalSynthConfig(np.int64(3)), 20, 20)
+    assert set(np.unique(ds.source_y)) <= {0, 1, 2}
 
 
 def test_gen_categorical_shapes_and_oracle():
@@ -72,6 +83,12 @@ def test_gen_categorical_rejects_empty():
         gen_categorical(CategoricalSynthConfig(4), 0, 10)
     with pytest.raises(ValueError):
         gen_categorical(CategoricalSynthConfig(4), 10, 0)
+
+
+def test_gen_regression_rejects_empty():
+    for n, m in ((0, 10), (10, 0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            gen_regression(RegressionSynthConfig(0.2, 0.8), n, m)
 
 
 def test_same_seed_bit_identical():

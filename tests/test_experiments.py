@@ -70,6 +70,17 @@ def test_parse_reg_auto_and_float():
     assert parse_config_text("reg = 0.25\n")["reg"] == 0.25
 
 
+@pytest.mark.parametrize("raw", ("false", "0", "no", "No"))
+def test_parse_bool_false_spellings(raw):
+    assert parse_config_text(f"run_erm = {raw}\n")["run_erm"] is False
+
+
+def test_parse_bool_rejects_other_values():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("equal_masses = maybe\n")
+    assert exc.value.field == "equal_masses" and exc.value.line == 1
+
+
 def test_parse_and_build_every_key():
     """A file that sets every key away from its default builds exactly the
     config it spells out."""
@@ -131,6 +142,20 @@ def test_build_rejects_path_mismatch():
         _cfg(statistic_mode="kernel")  # E1 is categorical-only
 
 
+def test_build_rejects_unknown_scenario_and_estimator():
+    for key, bad in (("scenario", "categorical_vs_m"), ("estimator", "E5")):
+        with pytest.raises(ConfigError) as exc:
+            _cfg(**{key: bad})
+        assert exc.value.field == key
+
+
+@pytest.mark.parametrize("scenario", ("categorical_vs_k", "categorical_vs_n"))
+def test_build_rejects_a_sweep_scenario_without_a_sweep(scenario):
+    with pytest.raises(ConfigError) as exc:
+        _cfg(scenario=scenario)
+    assert exc.value.field == "sweep"
+
+
 def test_build_rejects_non_increasing_sweep():
     with pytest.raises(ConfigError) as exc:
         _cfg(scenario="categorical_vs_n", sweep=(500, 500, 1000))
@@ -140,12 +165,39 @@ def test_build_rejects_non_increasing_sweep():
 def test_build_validates_ranges():
     for key, bad in (("alpha", 0.0), ("gamma", 1.5), ("delta", 1.0),
                      ("k", 1), ("noise_std", 0.0), ("a", 1.0),
-                     ("reg_scale", 0.0), ("theta_max", -1.0)):
+                     ("reg_scale", 0.0), ("theta_max", -1.0),
+                     ("seeds", (-1,)), ("seeds", (0, -3)),
+                     ("noise_std", math.inf), ("reg", math.inf),
+                     ("reg_scale", math.inf), ("theta_max", math.inf),
+                     ("bandwidth", math.inf)):
         with pytest.raises(ConfigError) as exc:
             _cfg(**{key: bad})
         assert exc.value.field == key
     with pytest.raises(ConfigError):
         _cfg(reg=-0.5)
+
+
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig)
+              if f.type is float or f.name == "reg"]
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_rejects_non_finite_values(key, bad):
+    """Walks the config's fields, so a new float key cannot ship without
+    the finiteness check: a range written as a comparison lets inf through
+    (noise_std > 0), and NaN can only fail it by the comparison's form."""
+    with pytest.raises(ConfigError, match=key) as exc:
+        _cfg(**{key: bad})
+    assert exc.value.field == key
+
+
+def test_float_keys_are_the_expected_ones():
+    """The walk above sees every float key; under string annotations f.type
+    would not be float, and it would check reg alone."""
+    assert set(FLOAT_KEYS) == {"alpha", "gamma", "delta", "noise_std", "a",
+                               "b", "bandwidth", "reg", "reg_scale",
+                               "theta_max"}
 
 
 def test_build_seeds_override_replaces_file_seeds():

@@ -376,8 +376,11 @@ def test_gram_matches_reference_bit_for_bit(a, b, bandwidth):
 @given(x=_POINTS, n_centers=st.integers(1, 40))
 def test_rbf_features_match_reference_bit_for_bit(x, n_centers):
     """The sample-major reference's bits, in the column-major order the
-    features are built in: center-major, the transpose C-contiguous."""
-    centers, scale = feature_plan(x, n_centers)
+    features are built in: center-major, the transpose C-contiguous.  The
+    centers are n_centers quantiles of x, as feature_plan takes N_CENTERS;
+    the scale is feature_plan's."""
+    centers = np.quantile(x, (np.arange(n_centers) + 0.5) / n_centers)
+    scale = feature_plan(x)[1]
     feats = rbf_features(x, centers, scale)
     assert feats.T.flags["C_CONTIGUOUS"]
     _assert_same_bits(np.ascontiguousarray(feats),

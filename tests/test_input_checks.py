@@ -1,6 +1,8 @@
 """Bad inputs to the statistic fits, weighted ERM, the solvers and the radii
 fail where they enter, with the package's typed errors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from shiftweight import (DataError, IllConditioned, MomentEstimates,
                          NonFiniteInput, categorical_radii,
                          check_burn_in_categorical, check_burn_in_functional,
                          composite_epsilon, confidence_report, e2_regularized,
-                         e4_regularized, estimate_kernel_moments,
+                         e4_regularized, estimate_categorical_moments,
+                         estimate_kernel_moments,
                          evaluate_weight, functional_radii, oracle_target_risk,
                          theta_function, train_hypercube,
                          train_kernel_regressor, train_simplex, weighted_erm)
@@ -151,9 +154,8 @@ def test_kernel_ridge_erm_rejects_a_class_indexed_omega():
                      "kernel_ridge")
 
 
-@pytest.mark.parametrize("params", ({"ridge": -1.0}, {"ridge": 0.0},
-                                    {"bandwidth": -0.5}, {"bandwidth": 0.0},
-                                    {"ridge": np.nan}, {"bandwidth": np.nan}))
+@pytest.mark.parametrize("params", ({"bandwidth": -0.5}, {"bandwidth": 0.0},
+                                    {"bandwidth": np.nan}))
 def test_kernel_ridge_erm_rejects_nonpositive_hyperparameters(params):
     x, y = _sample()
     with pytest.raises(ValueError, match="must be positive"):
@@ -236,6 +238,19 @@ def test_kernel_moments_reject_a_statistic_of_the_wrong_shape(u):
         estimate_kernel_moments((x, x), x[::-1], u, bandwidth=0.5)
 
 
+@pytest.mark.parametrize("g", (lambda v: v, lambda v: np.ones((len(v) - 1, 2)),
+                               lambda v: 0.5,
+                               lambda v: np.ones((len(v), len(v) // 10))),
+                         ids=("one_dimensional", "one_short", "scalar",
+                              "target_width_differs"))
+def test_categorical_moments_reject_a_statistic_of_the_wrong_shape(g):
+    """g gives one d-vector per point, with the same d on source and
+    target; a 1-D output is not read as d = 1."""
+    x = np.linspace(0.0, 1.0, 30)
+    with pytest.raises(DataError, match="g gave"):
+        estimate_categorical_moments((x, np.arange(30) % 2), x[:20], g, 2)
+
+
 @pytest.mark.parametrize("bad", (np.inf, -np.inf))
 @pytest.mark.parametrize("evaluate", (
     lambda est, ys: evaluate_weight(est, 1.0, ys),
@@ -310,6 +325,36 @@ def test_nan_fails_the_entry_checks(call):
     on a true comparison: a NaN raises ValueError instead of flowing on."""
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("solve", (_e2_at, _e4_at), ids=("e2", "e4"))
+def test_infinite_weight_fails_the_regularized_estimators(solve):
+    """An infinite delta_T or lam passed the nonnegativity check and gave
+    a NaN objective."""
+    with pytest.raises(ValueError, match="finite"):
+        solve(np.inf)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_empty_input_is_a_data_error(entry):
+    """An empty training set, ERM split or oracle target set raises
+    DataError where it enters, before any fit or Gram factor."""
+    with pytest.raises(DataError):
+        ENTRY_POINTS[entry](np.array([]), np.array([], dtype=int))
+
+
+def test_confidence_report_needs_d_and_k_on_the_categorical_path():
+    for d, k in ((None, 2), (2, None)):
+        with pytest.raises(ValueError, match="needs d and k"):
+            confidence_report("categorical", 0.5, 800, 800, 0.1, 1.0, 1.0,
+                              d=d, k=k)
+
+
+def test_weight_of_an_estimate_without_anchors_raises():
+    est = dataclasses.replace(_e4_at(0.1), beta=np.array([]),
+                              anchors=np.array([]))
+    with pytest.raises(ValueError, match="no anchors"):
+        evaluate_weight(est, 1.0, [0.5])
 
 
 def _burn_in_mom(T):

@@ -329,6 +329,45 @@ def _counting_directions(monkeypatch):
     return decrements
 
 
+# (loss evaluations, Newton steps) of the weighted fit on the k = 4, seed-0
+# source sample (n = 2000, linspace(0.5, 2, 4) class weights), by start: the
+# default start, and 3x then 10x draws of one standard-normal stream.
+# A step whose halving never runs costs one loss evaluation; the initial
+# loss is one more, and the last step, which only checks the decrement,
+# none.
+LINE_SEARCH_COUNTS = {None: (6, 6), 3.0: (29, 14), 10.0: (34, 14)}
+
+
+def test_line_search_halves_from_a_far_start(monkeypatch):
+    """The damped step's halving runs from a far start, and the fit still
+    ends within the 1e-12 reference gate; from the default start every full
+    step is accepted."""
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 0), 2000, 2000)
+    x, y = ds.source_x, ds.source_y
+    centers, scale = feature_plan(x)
+    feats = rbf_features(x, centers, scale)
+    w = np.linspace(0.5, 2.0, 4)[y]
+    W_ref = dense_newton_reference(feats, y, 4, w)
+    decrements = _counting_directions(monkeypatch)
+    losses = []
+    real_softmax = predictors._softmax
+
+    def softmax_counted(z):
+        losses.append(None)         # the fit's one softmax per loss evaluation
+        return real_softmax(z)
+
+    monkeypatch.setattr(predictors, "_softmax", softmax_counted)
+    rng = np.random.default_rng(0)
+    for scale_up, counts in LINE_SEARCH_COUNTS.items():
+        start = None if scale_up is None \
+            else scale_up * rng.standard_normal((feats.shape[1], 4))
+        losses.clear()
+        decrements.clear()
+        W = fit_multinomial_logistic(feats, y, 4, sample_weight=w, start=start)
+        assert (len(losses), len(decrements)) == counts, scale_up
+        assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+
+
 def _counting_assemblies(monkeypatch):
     """Wraps _assemble_hessian; returns the list it appends one entry to
     per Hessian assembled."""

@@ -100,6 +100,10 @@ def test_empty_split_rejected():
     with pytest.raises(ValueError):
         estimate_categorical_moments((np.zeros(3), np.zeros(3, dtype=int)),
                                      np.array([]), _identity_stat(2), 2)
+    for split, target in (((np.array([]), np.array([])), np.zeros(3)),
+                          ((np.zeros(3), np.zeros(3)), np.array([]))):
+        with pytest.raises(DataError, match="empty"):
+            estimate_kernel_moments(split, target, lambda v: v)
 
 
 def test_label_out_of_range_rejected():
@@ -208,7 +212,7 @@ def test_kernel_gram_half_at_known_distance():
     d = 0.9 * np.sqrt(2 * np.log(2))
     y = np.array([0.0, d])
     x = np.array([0.0, d])
-    u = train_kernel_regressor((x, y), ridge=1e-8)
+    u = train_kernel_regressor((x, y))
     km = estimate_kernel_moments((x, y), x, u, bandwidth=0.9)
     assert abs(_gram(km.phi)[0, 1] - 0.5) < 1e-12
 
@@ -219,7 +223,7 @@ def test_kernel_blocks_match_double_loop():
     xs = np.array([0.1, 0.5, 0.9])
     ys = np.array([0.2, 0.4, 0.8])
     xt = np.array([0.3, 0.7])
-    u = train_kernel_regressor((xs, ys), bandwidth=0.9, ridge=1e-2)
+    u = train_kernel_regressor((xs, ys), bandwidth=0.9)
     km = estimate_kernel_moments((xs, ys), xt, u, bandwidth=0.9)
 
     def kappa(a, b):

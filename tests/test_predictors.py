@@ -7,6 +7,7 @@ from shiftweight import (CategoricalSynthConfig, RegressionSynthConfig,
                          gaussian_gram, gen_categorical, gen_regression,
                          train_hypercube, train_kernel_regressor,
                          split_alpha, train_simplex, weighted_erm)
+from shiftweight import predictors
 from shiftweight.predictors import (GramFactor, feature_plan,
                                     fit_multinomial_logistic,
                                     gaussian_pivoted_cholesky, rbf_features)
@@ -172,18 +173,20 @@ def test_gaussian_gram_known_entry():
     assert abs(K[1, 0] - 0.5) < 1e-12
 
 
-def test_kernel_regressor_interpolates_at_tiny_ridge():
+def test_kernel_regressor_interpolates_at_tiny_ridge(monkeypatch):
+    monkeypatch.setattr(predictors, "RIDGE", 1e-8)
     x = np.linspace(0, 1, 25)
     y = x.copy()
-    u = train_kernel_regressor((x, y), bandwidth=0.9, ridge=1e-8)
+    u = train_kernel_regressor((x, y), bandwidth=0.9)
     np.testing.assert_allclose(u(x), y, atol=1e-3)
 
 
-def test_kernel_regressor_heavy_ridge_returns_mean():
+def test_kernel_regressor_heavy_ridge_returns_mean(monkeypatch):
+    monkeypatch.setattr(predictors, "RIDGE", 1e9)
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, 60)
     y = rng.uniform(0, 1, 60)
-    u = train_kernel_regressor((x, y), bandwidth=0.9, ridge=1e9)
+    u = train_kernel_regressor((x, y), bandwidth=0.9)
     np.testing.assert_allclose(u(x), y.mean(), atol=1e-6)
 
 
@@ -200,8 +203,8 @@ def test_kernel_regressor_deterministic():
     rng = np.random.default_rng(9)
     x = rng.uniform(0, 1, 80)
     y = np.sin(3 * x)
-    u1 = train_kernel_regressor((x, y), 0.9, 1e-2)
-    u2 = train_kernel_regressor((x, y), 0.9, 1e-2)
+    u1 = train_kernel_regressor((x, y), 0.9)
+    u2 = train_kernel_regressor((x, y), 0.9)
     q = rng.uniform(0, 1, 40)
     np.testing.assert_array_equal(u1(q), u2(q))
 
@@ -210,8 +213,6 @@ def test_kernel_regressor_rejects_bad_hyperparameters():
     x = np.linspace(0, 1, 10)
     with pytest.raises(ValueError):
         train_kernel_regressor((x, x), bandwidth=0.0)
-    with pytest.raises(ValueError):
-        train_kernel_regressor((x, x), bandwidth=0.9, ridge=-1.0)
 
 
 def test_statistic_fn_metadata():
