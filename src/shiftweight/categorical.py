@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import _check_delta, categorical_radii
+from .concentration import burn_in_holds
 from .errors import SingularOperator, require_finite
 
 RANK_TOL = 1e-12            # relative singular value cutoff
@@ -57,22 +57,16 @@ def e1_direct(mom, alpha=None, n=None, delta=None):
         "burn_in_ok": None,
     }
     if alpha is not None and n is not None and delta is not None:
-        diag["burn_in_ok"] = check_burn_in_categorical(mom, d, k, alpha, n, delta)
+        diag["burn_in_ok"] = burn_in_holds("categorical", alpha, n, delta,
+                                           op_inv_norm, d=d, k=k)
     return CategoricalWeightEstimate(theta, 1.0 + theta, "E1", diag)
 
 
 def check_burn_in_categorical(mom, d, k, alpha, n, delta):
-    """True iff n is past burn-in, 2 ||T_hat^+|| delta_T <= 1 with delta_T
-    from categorical_radii at delta / 3.  ||T_hat^+|| stands in for the
-    unobservable population norm; without full column rank it is inf and
-    the check fails.  A NaN alpha or n, or n = 0, raises ValueError."""
-    _check_delta(delta)     # the radii at delta / 3 would accept [1, 3)
-    if not (alpha > 0 and n > 0):
-        raise ValueError("alpha and n must be positive")
+    """concentration.burn_in_holds with ||T_hat^+|| for the unobservable
+    population norm; without full column rank it is inf and the check fails."""
     _, _, _, op_inv_norm = _svd_checked(np.asarray(mom.T_hat, dtype=float))
-    # delta_T does not depend on the target count m
-    delta_T = categorical_radii(d, k, alpha, n, n, delta / 3.0)[2]
-    return bool(2.0 * op_inv_norm * delta_T <= 1.0)
+    return burn_in_holds("categorical", alpha, n, delta, op_inv_norm, d=d, k=k)
 
 
 # ===================== E2: regularized program =====================

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_counts
+
 # Natural logs everywhere: the radii come from exponential tail bounds.
 
 
@@ -21,6 +23,7 @@ def categorical_radii(d, k, alpha, n, m, delta):
     corresponding estimation error with probability at least 1 - delta.
     """
     _check_delta(delta)
+    require_counts(d=d, k=k)
     if not (alpha * n > 0 and m > 0):
         raise ValueError("sample counts must be positive")
     an = alpha * n
@@ -30,22 +33,41 @@ def categorical_radii(d, k, alpha, n, m, delta):
     return delta_p, delta_q, delta_T
 
 
-def functional_radii(alpha, n, m, delta, kappa_bar=1.0):
+def functional_radii(alpha, n, m, delta):
     """Confidence radii (delta_p, delta_q, delta_T) for the kernel moment estimates.
 
-    kappa_bar is the kernel sup value (1 for the Gaussian kernel used here).
-    delta_p and delta_T share one formula; only the target radius sees m.
+    The Gaussian kernel is bounded by 1, the sup that scales each radius.
+    delta_T equals delta_p; only the target radius sees m.
     """
     _check_delta(delta)
     if not (alpha * n > 0 and m > 0):
         raise ValueError("sample counts must be positive")
-    if not kappa_bar >= 0:
-        raise ValueError("kappa_bar must be nonnegative")
-    an = alpha * n
-    delta_p = 2.0 * kappa_bar * math.sqrt(2.0 / an * math.log(2.0 / delta))
-    delta_q = 2.0 * kappa_bar * math.sqrt(2.0 / m * math.log(2.0 / delta))
-    delta_T = 2.0 * kappa_bar * math.sqrt(2.0 / an * math.log(2.0 / delta))
-    return delta_p, delta_q, delta_T
+    delta_p = 2.0 * math.sqrt(2.0 / (alpha * n) * math.log(2.0 / delta))
+    delta_q = 2.0 * math.sqrt(2.0 / m * math.log(2.0 / delta))
+    return delta_p, delta_q, delta_p
+
+
+def union_radii(path, alpha, n, m, delta, d=None, k=None):
+    """The path's radii at delta / 3, the union bound over the three moment
+    events; the categorical path needs d and k.  delta_T does not see m."""
+    _check_delta(delta)     # the radii at delta / 3 would accept [1, 3)
+    if path == "categorical":
+        if d is None or k is None:
+            raise ValueError("categorical path needs d and k")
+        return categorical_radii(d, k, alpha, n, m, delta / 3.0)
+    if path == "functional":
+        return functional_radii(alpha, n, m, delta / 3.0)
+    raise ValueError(f"unknown path {path!r}")
+
+
+def burn_in_holds(path, alpha, n, delta, op_inv_norm, d=None, k=None):
+    """True iff n is past burn-in, 2 ||T^+|| delta_T <= 1 with delta_T from
+    union_radii (m passed as n).  An infinite ||T^+|| fails the test; a NaN
+    input, or n = 0, raises ValueError."""
+    if not (alpha > 0 and n > 0 and op_inv_norm >= 0):
+        raise ValueError("alpha and n must be positive, ||T^+|| nonnegative")
+    delta_T = union_radii(path, alpha, n, n, delta, d, k)[2]
+    return bool(2.0 * op_inv_norm * delta_T <= 1.0)
 
 
 def composite_epsilon(radii, proxy_inv_norm, theta_max):
@@ -75,17 +97,9 @@ class ConfidenceReport:
 
 
 def confidence_report(path, alpha, n, m, delta, proxy_inv_norm, theta_max,
-                      d=None, k=None, kappa_bar=1.0):
-    """Assemble the per-run ConfidenceReport; radii are evaluated at delta/3."""
-    _check_delta(delta)
-    if path == "categorical":
-        if d is None or k is None:
-            raise ValueError("categorical path needs d and k")
-        radii = categorical_radii(d, k, alpha, n, m, delta / 3.0)
-    elif path == "functional":
-        radii = functional_radii(alpha, n, m, delta / 3.0, kappa_bar)
-    else:
-        raise ValueError(f"unknown path {path!r}")
+                      d=None, k=None):
+    """Assemble the per-run ConfidenceReport from the radii of union_radii."""
+    radii = union_radii(path, alpha, n, m, delta, d, k)
     eps = composite_epsilon(radii, proxy_inv_norm, theta_max)
     return ConfidenceReport(radii[0], radii[1], radii[2], eps)
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_counts
+
 
 @dataclass(frozen=True)
 class CategoricalSynthConfig:
@@ -129,8 +131,7 @@ def source_density(cfg):
 
 def gen_categorical(cfg, n, m):
     """Draw a categorical label-shift dataset; deterministic given cfg.seed."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+    require_counts(n=n, m=m)
     p, q = label_masses(cfg)
     rng = np.random.default_rng(cfg.seed)
     centers = _draw_centers(cfg, rng)
@@ -151,8 +152,7 @@ def _inv_cdf_tilted(u, a):
 
 def gen_regression(cfg, n, m):
     """Draw a regression label-shift dataset on [0, 1]; deterministic given cfg.seed."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+    require_counts(n=n, m=m)
     rng = np.random.default_rng(cfg.seed)
     sy = _inv_cdf_tilted(rng.random(n), cfg.a)
     sx = sy + cfg.noise_std * rng.normal(size=n)

@@ -1,5 +1,7 @@
 """Error types raised by the estimators and the experiment runner."""
 
+import numbers
+
 import numpy as np
 
 
@@ -28,6 +30,13 @@ def require_finite(**arrays):
     for name, values in arrays.items():
         if not np.all(np.isfinite(values)):
             raise NonFiniteInput(f"{name} contains NaN or inf", field=name)
+
+
+def require_counts(**counts):
+    """Raise ValueError naming the first keyword count not an integer >= 1."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer at least 1, got {value!r}")
 
 
 class DataError(ShiftWeightError, ValueError):

@@ -15,7 +15,7 @@ from .datagen import (CategoricalSynthConfig, RegressionSynthConfig,
                       gen_categorical, gen_regression, split_alpha,
                       true_weight_categorical, true_weight_function)
 from .erm import blend_gamma, oracle_target_risk, weighted_erm
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .functional import (check_burn_in_functional, e3_direct, e4_regularized,
                          evaluate_weight, operator_inverse_norm_proxy)
 from .moments import estimate_categorical_moments, estimate_kernel_moments
@@ -150,6 +150,9 @@ def build_config(raw, seeds_override=None, out_override=None):
         if any(b <= a for a, b in zip(cfg.sweep, cfg.sweep[1:])):
             raise ConfigError("sweep values must be strictly increasing",
                               field="sweep")
+        least = 2 if cfg.scenario == "categorical_vs_k" else 1
+        if cfg.sweep[0] < least:
+            raise ConfigError(f"sweep values must be at least {least}", field="sweep")
 
     # every float key (reg when it is not "auto") is finite; the ranges below
     # would let an inf noise_std, bandwidth, theta_max, reg or reg_scale by
@@ -189,16 +192,17 @@ def load_config(path, seeds_override=None, out_override=None):
 
 def relative_error(estimate, oracle, path="categorical"):
     """L2 error over L2 oracle norm; functional inputs are evaluated on the
-    uniform 100-point grid over [0, 1] (callables or pre-gridded arrays)."""
+    uniform 100-point grid over [0, 1] (callables or pre-gridded arrays).
+    An estimate whose shape differs from the oracle's raises DataError."""
     if path == "functional":
         grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        est = np.asarray(estimate(grid) if callable(estimate) else estimate,
-                         dtype=float)
-        orc = np.asarray(oracle(grid) if callable(oracle) else oracle,
-                         dtype=float)
-    else:
-        est = np.asarray(estimate, dtype=float)
-        orc = np.asarray(oracle, dtype=float)
+        estimate, oracle = (f(grid) if callable(f) else f
+                            for f in (estimate, oracle))
+    est = np.asarray(estimate, dtype=float)
+    orc = np.asarray(oracle, dtype=float)
+    if est.shape != orc.shape:
+        raise DataError(f"estimate of shape {est.shape} against an oracle of "
+                        f"shape {orc.shape}")
     denom = float(np.linalg.norm(orc))
     if denom == 0.0:
         raise ValueError("oracle has zero norm")
@@ -268,16 +272,15 @@ def _run_functional_cell(cfg, n, m, seed):
         est = e3_direct(km)
     else:
         lam = cfg.reg if cfg.reg != "auto" \
-            else cfg.reg_scale * functional_radii(cfg.alpha, n, m, cfg.delta,
-                                                  km.kappa_bar)[2]
+            else cfg.reg_scale * functional_radii(cfg.alpha, n, m, cfg.delta)[2]
         est = e4_regularized(km, lam)
     omega_true = true_weight_function(gen)
     rel = relative_error(lambda ys: evaluate_weight(est, 1.0, ys), omega_true,
                          "functional")
     proxy = operator_inverse_norm_proxy(km)
     rep = confidence_report("functional", cfg.alpha, n, m, cfg.delta, proxy,
-                            cfg.theta_max, kappa_bar=km.kappa_bar)
-    burn = check_burn_in_functional(n, cfg.alpha, cfg.delta, km.kappa_bar, proxy)
+                            cfg.theta_max)
+    burn = check_burn_in_functional(n, cfg.alpha, cfg.delta, proxy)
     target_risk = None
     if cfg.run_erm:
         # u's Gram factor is the ERM's own when u was fit on the ERM split

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import _check_delta, functional_radii
+from .concentration import burn_in_holds
 from .errors import SingularOperator, require_finite
 from .predictors import gaussian_gram, pivot_coefficients
 
@@ -132,15 +132,6 @@ def operator_inverse_norm_proxy(km):
     return 1.0 / float(s[keep][-1]) if keep.any() else float("inf")
 
 
-def check_burn_in_functional(n, alpha, delta, kappa_bar, op_inv_norm_proxy):
-    """True iff n is past burn-in on the kernel path, 2 proxy delta_T <= 1
-    with delta_T from functional_radii at delta / 3.  An infinite proxy
-    fails; a NaN input, or n = 0, raises ValueError."""
-    _check_delta(delta)     # the radii at delta / 3 would accept [1, 3)
-    if not (alpha > 0 and n > 0):
-        raise ValueError("alpha and n must be positive")
-    if not (kappa_bar >= 0 and op_inv_norm_proxy >= 0):
-        raise ValueError("kappa_bar and the proxy must be nonnegative")
-    # delta_T does not depend on the target count m
-    delta_T = functional_radii(alpha, n, n, delta / 3.0, kappa_bar)[2]
-    return bool(2.0 * op_inv_norm_proxy * delta_T <= 1.0)
+def check_burn_in_functional(n, alpha, delta, op_inv_norm_proxy):
+    """concentration.burn_in_holds on the kernel path, the proxy for ||T^+||."""
+    return burn_in_holds("functional", alpha, n, delta, op_inv_norm_proxy)

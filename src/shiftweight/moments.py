@@ -7,7 +7,7 @@ import numpy as np
 
 from .datagen import class_centers, label_masses
 from .errors import DataError, require_finite
-from .predictors import class_labels, gaussian_pivoted_cholesky
+from .predictors import class_labels, gaussian_pivoted_cholesky, gram_factor
 
 
 @dataclass
@@ -35,7 +35,6 @@ class KernelMoments:
     B: np.ndarray           # psi_s^T phi / N over the source rows psi_s of psi, (s, r)
     b: np.ndarray           # mean(psi_t) - mean(psi_s), (s,)
     factor_residual: float  # largest residual diagonal of the two factors
-    kappa_bar: float
     bandwidth: float
     n_est: int
     m: int
@@ -52,6 +51,8 @@ def estimate_categorical_moments(est_split, target_x, g, k):
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
         raise DataError("empty estimation split or target set")
+    if len(y) != len(x):
+        raise DataError(f"{len(x)} covariates with {len(y)} labels")
     require_finite(source_covariates=x, target_covariates=target_x)
     y = class_labels(y, k)
     n = len(x)
@@ -75,11 +76,8 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     The anchors are the estimation-split labels; target points enter only
     through the target rows of the u-image factor.
     """
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
     x, y = est_split
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     target_x = np.asarray(target_x, dtype=float)
     if len(x) == 0 or len(target_x) == 0:
         raise DataError("empty estimation split or target set")
@@ -93,23 +91,18 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
         raise DataError(f"u gave {u_src.size} and {u_tgt.size} values for "
                         f"{N} source and {len(target_x)} target points")
     require_finite(source_statistic=u_src, target_statistic=u_tgt)
-    phi, pivots, res_y = gaussian_pivoted_cholesky(y, bandwidth)
-    # KernelMoments keeps an owned copy of the r columns, not a view pinning
-    # the factor's wider buffer; copied before psi is built, so that buffer
-    # is freed first
-    phi = phi.copy(order="F")
+    anchor = gram_factor(y, bandwidth)
     psi, _, res_u = gaussian_pivoted_cholesky(np.concatenate([u_src, u_tgt]),
                                               bandwidth)
     # G_uu, the G_ut row sums and G_tt.sum() all act through psi
     psi_s, psi_t = psi[:N], psi[N:]
     return KernelMoments(
-        anchors=y,
-        phi=phi,
-        pivots=pivots,
-        B=psi_s.T @ phi / N,
+        anchors=anchor.points,
+        phi=anchor.phi,
+        pivots=anchor.pivots,
+        B=psi_s.T @ anchor.phi / N,
         b=psi_t.mean(axis=0) - psi_s.mean(axis=0),
-        factor_residual=max(res_y, res_u),
-        kappa_bar=1.0,
+        factor_residual=max(anchor.residual, res_u),
         bandwidth=bandwidth,
         n_est=N,
         m=len(target_x),

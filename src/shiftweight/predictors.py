@@ -468,24 +468,23 @@ class GramFactor(NamedTuple):
     """The pivoted-Cholesky factor of the Gaussian Gram matrix over points at
     bandwidth (gaussian_pivoted_cholesky), held in owned arrays: points is
     a copy of the covariates it was built on, phi its r kept columns in
-    Fortran order."""
+    Fortran order, residual the largest residual diagonal it leaves."""
     points: np.ndarray
     bandwidth: float
     phi: np.ndarray
     pivots: np.ndarray
+    residual: float
 
 
 def gram_factor(x, bandwidth):
     """The GramFactor of the covariates x at bandwidth.  A bandwidth that is
     not positive raises ValueError, NaN or inf covariates NonFiniteInput."""
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
     x = np.asarray(x, dtype=float).reshape(-1).copy()
     require_finite(covariates=x)
-    phi, pivots, _ = gaussian_pivoted_cholesky(x, bandwidth)
+    phi, pivots, residual = gaussian_pivoted_cholesky(x, bandwidth)
     # phi is a view of a buffer of at least 32 columns; the factor outlives
     # this call, so it keeps an owned copy of the r columns alone
-    return GramFactor(x, bandwidth, phi.copy(order="F"), pivots)
+    return GramFactor(x, bandwidth, phi.copy(order="F"), pivots, residual)
 
 
 def kernel_ridge_fit(factor, y, w):

@@ -43,7 +43,7 @@ def _functional_fit(seed, n, lam_scale=0.1, a=0.2, b=0.8):
     sp = split_alpha(ds, 0.5, seed=seed)
     u = train_kernel_regressor((sp.erm_x, sp.erm_y))
     km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
-    lam = lam_scale * functional_radii(0.5, n, n, 0.1, km.kappa_bar)[2]
+    lam = lam_scale * functional_radii(0.5, n, n, 0.1)[2]
     est = e4_regularized(km, lam)
     return relative_error(lambda ys: evaluate_weight(est, 1.0, ys),
                           true_weight_function(cfg), "functional")
@@ -75,7 +75,7 @@ def test_criterion_03_concentration_radii_match_hand_values():
     assert dt_hand == pytest.approx(0.5920828749203193, abs=1e-15)
     assert dq_hand == pytest.approx(0.17308183826022852, abs=1e-15)
     cat = categorical_radii(2, 2, 0.5, 400, 400, 0.1)
-    fun = functional_radii(0.5, 800, 800, 0.1, 1.0)
+    fun = functional_radii(0.5, 800, 800, 0.1)
     assert abs(cat[0] - dp_hand) < 1e-6
     assert abs(cat[2] - dt_hand) < 1e-6
     assert abs(fun[1] - dq_hand) < 1e-6

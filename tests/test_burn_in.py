@@ -2,16 +2,18 @@
 evaluates: n is past burn-in when 2 ||T^-1|| delta_T(delta / 3) <= 1.  That
 is the closed-form sample threshold of the direct estimators,
 (32 / alpha) ||T^-1||^2 d log(6 (d + k) / delta) on the categorical path and
-(32 / alpha) ||T^-1||^2 kappa^2 log(6 / delta) on the kernel path, so the
+(32 / alpha) ||T^-1||^2 log(6 / delta) on the kernel path, so the
 checks answer as the threshold does at every n outside rounding distance of
 it."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from shiftweight import check_burn_in_categorical, check_burn_in_functional
+from shiftweight import (check_burn_in_categorical, check_burn_in_functional,
+                         confidence_report, e2_regularized)
 from shiftweight.moments import MomentEstimates
 
 ALPHAS = (0.3, 0.5, 0.9)
@@ -59,15 +61,11 @@ def test_categorical_check_agrees_with_the_closed_form(alpha, delta):
 @pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_functional_check_agrees_with_the_closed_form(alpha, delta):
-    for kappa_bar in (0.0, 0.5, 1.0):
-        for proxy in PROXIES:
-            # NaN for an infinite proxy at kappa_bar 0, where n >= required
-            # is False
-            required = ((32.0 / alpha) * proxy ** 2 * kappa_bar ** 2
-                        * math.log(6.0 / delta))
-            for n in _ns_around(required):
-                assert check_burn_in_functional(n, alpha, delta, kappa_bar, proxy) \
-                    is bool(n >= required), (kappa_bar, proxy, n)
+    for proxy in PROXIES:
+        required = (32.0 / alpha) * proxy ** 2 * math.log(6.0 / delta)
+        for n in _ns_around(required):
+            assert check_burn_in_functional(n, alpha, delta, proxy) \
+                is bool(n >= required), (proxy, n)
 
 
 def test_zero_samples_raise():
@@ -75,4 +73,37 @@ def test_zero_samples_raise():
     with pytest.raises(ValueError):
         check_burn_in_categorical(_operator(2, 2, 1.0), 2, 2, 0.5, 0, 0.1)
     with pytest.raises(ValueError):
-        check_burn_in_functional(0, 0.5, 0.1, 1.0, 0.0)
+        check_burn_in_functional(0, 0.5, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("path", ("categorical", "functional"))
+def test_checks_read_the_radius_the_report_gives(path):
+    """Each check is 2 ||T^+|| delta_T <= 1 with the delta_T that
+    confidence_report gives at the same alpha, n and delta, for any target
+    count m: the report and the burn-in test take one radius."""
+    shapes = ((2, 2), (5, 3), (3, 5)) if path == "categorical" else ((None, None),)
+    answers = set()
+    for alpha, delta, proxy, (d, k) in itertools.product(
+            ALPHAS, DELTAS, PROXIES[1:4], shapes):
+        mom = _operator(d, k, proxy) if d else None
+        # the norm the categorical check reads off T_hat's SVD, inf at d < k
+        norm = e2_regularized(mom, 0.0).diagnostics["op_inv_norm"] if d else proxy
+        # delta_T scales as n^-1/2, so the report at n = 1000 places the
+        # threshold; n is taken 1% either side of it and far from it
+        at_1000 = confidence_report(path, alpha, 1000, 1000, delta, 1.0, 1.0,
+                                    d=d, k=k).delta_T
+        required = 1000 * (2.0 * norm * at_1000) ** 2
+        for n in (10, 10 ** 9, 0.99 * required, 1.01 * required):
+            if not 0 < n < math.inf:
+                continue
+            reps = [confidence_report(path, alpha, n, m, delta, 1.0, 1.0, d=d, k=k)
+                    for m in (n, 7, 5 * n)]
+            assert reps[1].delta_T == reps[0].delta_T == reps[2].delta_T
+            expected = 2.0 * norm * reps[1].delta_T <= 1.0
+            if path == "categorical":
+                check = check_burn_in_categorical(mom, d, k, alpha, n, delta)
+            else:
+                check = check_burn_in_functional(n, alpha, delta, norm)
+            assert check is expected, (alpha, delta, proxy, d, k, n)
+            answers.add(check)
+    assert answers == {True, False}

@@ -83,6 +83,14 @@ def test_out_of_range_config_value_exits_two(tmp_path, capsys, line):
     assert "config error" in err and line.split()[0] in err
 
 
+def test_out_of_range_sweep_value_exits_two(tmp_path, capsys):
+    """k = 1 in a categorical_vs_k sweep used to exit 1 as a bug."""
+    text = "scenario = categorical_vs_k\nestimator = E1\nseeds = 0\nsweep = 1, 2\n"
+    assert main(["run", _write(tmp_path, text), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "sweep" in err
+
+
 @pytest.mark.parametrize("where", ("missing_dir", "a_directory", "config_key"))
 def test_unwritable_out_exits_two_before_the_sweep(tmp_path, capsys,
                                                    monkeypatch, where):

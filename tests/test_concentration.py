@@ -36,7 +36,7 @@ def test_categorical_radius_T_matches_hand_value():
 
 
 def test_functional_radius_q_matches_hand_value():
-    _, dq, _ = functional_radii(alpha=0.5, n=400, m=800, delta=0.1, kappa_bar=1.0)
+    _, dq, _ = functional_radii(alpha=0.5, n=400, m=800, delta=0.1)
     assert abs(dq - DQ_FUN_HAND) < 1e-6
     assert abs(dq - 2 * math.sqrt(2 / 800 * math.log(2 / 0.1))) < 1e-12
 
@@ -47,17 +47,8 @@ def test_categorical_radius_q_uses_target_count():
 
 
 def test_functional_radii_p_equals_T():
-    dp, _, dT = functional_radii(alpha=0.3, n=1700, m=900, delta=0.05,
-                                 kappa_bar=0.7)
+    dp, _, dT = functional_radii(alpha=0.3, n=1700, m=900, delta=0.05)
     assert dp == dT
-
-
-def test_functional_radii_scale_linearly_in_kappa_bar():
-    base = functional_radii(alpha=0.5, n=800, m=800, delta=0.1, kappa_bar=1.0)
-    doubled = functional_radii(alpha=0.5, n=800, m=800, delta=0.1, kappa_bar=2.0)
-    np.testing.assert_allclose(doubled, 2 * np.asarray(base), rtol=1e-15)
-    zero = functional_radii(alpha=0.5, n=800, m=800, delta=0.1, kappa_bar=0.0)
-    assert zero == (0.0, 0.0, 0.0)
 
 
 @given(st.integers(1, 20), st.integers(2, 20),
@@ -75,13 +66,13 @@ def test_categorical_radii_match_symbolic_rederivation(d, k, alpha, n, m, delta)
 
 
 @given(st.floats(0.05, 1.0), st.integers(10, 10 ** 6), st.integers(10, 10 ** 6),
-       st.floats(0.001, 0.999), st.floats(0.0, 5.0))
+       st.floats(0.001, 0.999))
 @settings(max_examples=60)
-def test_functional_radii_match_symbolic_rederivation(alpha, n, m, delta, kb):
-    dp, dq, dT = functional_radii(alpha, n, m, delta, kb)
+def test_functional_radii_match_symbolic_rederivation(alpha, n, m, delta):
+    dp, dq, dT = functional_radii(alpha, n, m, delta)
     an = alpha * n
-    assert abs(dp - 2 * kb * math.sqrt(2 / an * math.log(2 / delta))) < 1e-12
-    assert abs(dq - 2 * kb * math.sqrt(2 / m * math.log(2 / delta))) < 1e-12
+    assert abs(dp - 2 * math.sqrt(2 / an * math.log(2 / delta))) < 1e-12
+    assert abs(dq - 2 * math.sqrt(2 / m * math.log(2 / delta))) < 1e-12
     assert dp == dT
 
 
@@ -106,6 +97,15 @@ def test_invalid_delta_rejected(delta):
         categorical_radii(2, 2, 0.5, 100, 100, delta)
     with pytest.raises(ValueError):
         functional_radii(0.5, 100, 100, delta)
+
+
+@pytest.mark.parametrize("d, k, bad", [(0, 4, "d"), (4, 0, "k"), (2.5, 4, "d"),
+                                       (4, float("nan"), "k")])
+def test_invalid_counts_rejected(d, k, bad):
+    """d = 0 used to fail as a bare math domain error, k = 0 and a NaN k
+    gave radii, and a fractional d went on into the logarithm."""
+    with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+        categorical_radii(d, k, 0.5, 100, 100, 0.1)
 
 
 def test_composite_epsilon_formula():
@@ -140,9 +140,9 @@ def test_confidence_report_matches_hand_evaluated_bound():
 
 def test_confidence_report_functional_prefactor():
     """The functional bound carries an overall factor 4 relative to each
-    kappa_bar*sqrt(2 ln(6/delta)/count) term (internal 2 times prefactor 2)."""
+    sqrt(2 ln(6/delta)/count) term (internal 2 times prefactor 2)."""
     rep = confidence_report("functional", alpha=0.5, n=800, m=800, delta=0.1,
-                            proxy_inv_norm=1.0, theta_max=1.0, kappa_bar=1.0)
+                            proxy_inv_norm=1.0, theta_max=1.0)
     t_an = math.sqrt(2 / 400 * math.log(6 / 0.1))
     t_m = math.sqrt(2 / 800 * math.log(6 / 0.1))
     expected = 4 * (t_m + t_an + 1.0 * t_an)

@@ -83,10 +83,13 @@ def test_gen_categorical_rejects_empty():
         gen_categorical(CategoricalSynthConfig(4), 0, 10)
     with pytest.raises(ValueError):
         gen_categorical(CategoricalSynthConfig(4), 10, 0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        # used to fail with a raw TypeError from numpy's choice
+        gen_categorical(CategoricalSynthConfig(4), 2.5, 10)
 
 
 def test_gen_regression_rejects_empty():
-    for n, m in ((0, 10), (10, 0)):
+    for n, m in ((0, 10), (10, 0), (2.5, 10), (10, 2.5)):
         with pytest.raises(ValueError, match="at least 1"):
             gen_regression(RegressionSynthConfig(0.2, 0.8), n, m)
 

@@ -173,6 +173,13 @@ def test_build_validates_ranges():
         with pytest.raises(ConfigError) as exc:
             _cfg(**{key: bad})
         assert exc.value.field == key
+    # sweep values the cells would reject as a raw ValueError (exit 1)
+    for scenario, estimator, sweep in (("categorical_vs_k", "E1", (1, 2)),
+                                       ("categorical_vs_n", "E1", (0, 200)),
+                                       ("functional_vs_n", "E3", (-5, 200))):
+        with pytest.raises(ConfigError) as exc:
+            _cfg(scenario=scenario, estimator=estimator, sweep=sweep)
+        assert exc.value.field == "sweep"
     with pytest.raises(ConfigError):
         _cfg(reg=-0.5)
 
@@ -238,6 +245,18 @@ def test_relative_error_accepts_callables_on_grid():
 def test_relative_error_zero_norm_oracle_raises():
     with pytest.raises(ValueError):
         relative_error(np.ones(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("estimate, oracle, path", (
+    (np.ones(3), np.ones(1), "categorical"),
+    (np.ones((3, 1)), np.ones(3), "categorical"),
+    (lambda ys: np.ones((len(ys), 1)), lambda ys: np.ones(len(ys)),
+     "functional")))
+def test_relative_error_rejects_an_estimate_of_the_wrong_shape(estimate,
+                                                                oracle, path):
+    """numpy broadcast the difference, so each of these read as error 0."""
+    with pytest.raises(DataError, match="shape"):
+        relative_error(estimate, oracle, path)
 
 
 # ===================== runner =====================

@@ -49,7 +49,7 @@ def _fit(n, seed):
 def _case(n, seed):
     ds, sp, u = _fit(n, seed)
     km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
-    lam = 0.1 * functional_radii(0.5, n, n, 0.1, km.kappa_bar)[2]
+    lam = 0.1 * functional_radii(0.5, n, n, 0.1)[2]
     return ds, sp, km, lam
 
 
@@ -221,7 +221,7 @@ def _kernel_path_outputs(seed, n=2000):
     sp = split_alpha(ds, 0.5, seed=seed)
     u = train_kernel_regressor((sp.erm_x, sp.erm_y))
     km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
-    lam = 0.1 * functional_radii(0.5, n, n, 0.1, km.kappa_bar)[2]
+    lam = 0.1 * functional_radii(0.5, n, n, 0.1)[2]
     e4 = e4_regularized(km, lam)
     out = {"proxy": operator_inverse_norm_proxy(km)}
     for est in (e3_direct(km), e4):

@@ -19,7 +19,7 @@ from shiftweight.functional import EIG_TOL
 from shiftweight.predictors import (FACTOR_TOL, gaussian_gram,
                                     gaussian_pivoted_cholesky)
 
-# required n at proxy = 2, kappa_bar = 1, alpha = 0.5, delta = 0.1:
+# required n at proxy = 2, alpha = 0.5, delta = 0.1:
 # 256 * ln(60), evaluated independently
 BURN_IN_REQUIRED_FUN = 1048.1522079288577
 
@@ -291,7 +291,7 @@ def test_no_shift_estimate_stays_near_constant_one():
     sp = split_alpha(ds, 0.5, seed=11)
     u = train_kernel_regressor((sp.erm_x, sp.erm_y))
     km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
-    lam = functional_radii(0.5, 2000, 2000, 0.1, km.kappa_bar)[2]
+    lam = functional_radii(0.5, 2000, 2000, 0.1)[2]
     est = e4_regularized(km, lam)
     rel = relative_error(lambda ys: evaluate_weight(est, 1.0, ys),
                          lambda ys: np.ones_like(np.asarray(ys, dtype=float)),
@@ -329,13 +329,13 @@ def test_estimation_error_covered_by_functional_bound():
         sp = split_alpha(ds, 0.5, seed=seed)
         u = train_kernel_regressor((sp.erm_x, sp.erm_y))
         km = estimate_kernel_moments((sp.est_x, sp.est_y), ds.target_x, u)
-        lam = functional_radii(0.5, 800, 800, 0.1, km.kappa_bar)[2]
+        lam = functional_radii(0.5, 800, 800, 0.1)[2]
         est = e4_regularized(km, lam)
         theta_err = evaluate_weight(est, 1.0, grid) \
             - true_weight_function(cfg)(grid)
         proxy = operator_inverse_norm_proxy(km)
         rep = confidence_report("functional", 0.5, 800, 800, 0.1, proxy,
-                                theta_max=3.0, kappa_bar=km.kappa_bar)
+                                theta_max=3.0)
         if np.linalg.norm(theta_err) <= rep.epsilon_delta:
             hits += 1
     assert hits >= 0.9 * trials, f"coverage {hits}/{trials}"
@@ -440,12 +440,12 @@ def test_e4_rkhs_norm_does_not_grow_with_lam(sample, lam1, lam2):
 
 def test_functional_burn_in_threshold():
     assert abs(BURN_IN_REQUIRED_FUN - 256 * math.log(60)) < 1e-9
-    assert check_burn_in_functional(1100, 0.5, 0.1, 1.0, 2.0)
-    assert not check_burn_in_functional(1000, 0.5, 0.1, 1.0, 2.0)
+    assert check_burn_in_functional(1100, 0.5, 0.1, 2.0)
+    assert not check_burn_in_functional(1000, 0.5, 0.1, 2.0)
 
 
 def test_functional_burn_in_edge_cases():
-    assert check_burn_in_functional(1, 0.5, 0.1, 1.0, 0.0)
-    assert not check_burn_in_functional(10 ** 12, 0.5, 0.1, 1.0, float("inf"))
+    assert check_burn_in_functional(1, 0.5, 0.1, 0.0)
+    assert not check_burn_in_functional(10 ** 12, 0.5, 0.1, float("inf"))
     with pytest.raises(ValueError):
-        check_burn_in_functional(100, 0.5, 1.5, 1.0, 1.0)
+        check_burn_in_functional(100, 0.5, 1.5, 1.0)

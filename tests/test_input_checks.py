@@ -116,6 +116,8 @@ LENGTH_ENTRY_POINTS = {
     **ENTRY_POINTS,
     "estimate_kernel_moments": lambda x, y: estimate_kernel_moments(
         (x, y), x, lambda v: v, bandwidth=0.5),
+    "estimate_categorical_moments": lambda x, y: estimate_categorical_moments(
+        (x, y), x, lambda v: np.stack([v, 1.0 - v], axis=1), 3),
 }
 
 
@@ -123,8 +125,9 @@ LENGTH_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(LENGTH_ENTRY_POINTS))
 def test_covariates_and_labels_of_different_lengths_are_rejected(entry, short):
     """One label per covariate, checked where the arrays enter: the kernel
-    path, the hypercube fit and the oracle risk used to fail with a raw
-    numpy broadcast, indexing or matmul error."""
+    path, the hypercube fit, the oracle risk and the categorical moments
+    used to fail with a raw numpy broadcast, indexing, matmul or bincount
+    error."""
     x, y = _sample()
     if short == "covariates":
         x = x[:-1]
@@ -299,8 +302,6 @@ NAN_ENTRIES = {
     "categorical_radii-m": lambda: categorical_radii(2, 2, 0.5, 100, NAN, 0.1),
     "functional_radii-alpha": lambda: functional_radii(NAN, 100, 100, 0.1),
     "functional_radii-m": lambda: functional_radii(0.5, 100, NAN, 0.1),
-    "functional_radii-kappa_bar": lambda: functional_radii(0.5, 100, 100, 0.1,
-                                                           kappa_bar=NAN),
     "composite_epsilon-radius": lambda: composite_epsilon((0.1, NAN, 0.3),
                                                           1.0, 1.0),
     "confidence_report-categorical-proxy": lambda: confidence_report(
@@ -367,13 +368,9 @@ BURN_IN_NAN = {
         _burn_in_mom(np.eye(2)), 2, 2, NAN, 10 ** 9, 0.1),
     "categorical-n": lambda: check_burn_in_categorical(
         _burn_in_mom(np.eye(2)), 2, 2, 0.5, NAN, 0.1),
-    "functional-n": lambda: check_burn_in_functional(NAN, 0.5, 0.1, 1.0, 2.0),
-    "functional-alpha": lambda: check_burn_in_functional(10 ** 9, NAN, 0.1,
-                                                         1.0, 2.0),
-    "functional-kappa_bar": lambda: check_burn_in_functional(10 ** 9, 0.5, 0.1,
-                                                             NAN, 2.0),
-    "functional-proxy": lambda: check_burn_in_functional(10 ** 9, 0.5, 0.1,
-                                                         1.0, NAN),
+    "functional-n": lambda: check_burn_in_functional(NAN, 0.5, 0.1, 2.0),
+    "functional-alpha": lambda: check_burn_in_functional(10 ** 9, NAN, 0.1, 2.0),
+    "functional-proxy": lambda: check_burn_in_functional(10 ** 9, 0.5, 0.1, NAN),
 }
 
 
@@ -388,7 +385,7 @@ def test_burn_in_checks_reject_nan(call):
 def test_burn_in_checks_still_fail_on_an_infinite_proxy_or_rank_loss():
     """An infinite proxy and a rank-deficient T_hat are answers, not bad
     inputs: the threshold is infinite and the check returns False."""
-    assert check_burn_in_functional(10 ** 12, 0.5, 0.1, 1.0, np.inf) is False
+    assert check_burn_in_functional(10 ** 12, 0.5, 0.1, np.inf) is False
     singular = _burn_in_mom([[1.0, 1.0], [1.0, 1.0]])
     assert check_burn_in_categorical(singular, 2, 2, 0.5, 10 ** 12, 0.1) is False
 
@@ -402,5 +399,5 @@ def test_burn_in_checks_return_python_bools():
     singular = _burn_in_mom([[1.0, 1.0], [1.0, 1.0]])
     assert check_burn_in_categorical(singular, 2, 2, 0.5, 10 ** 12, 0.1) is False
     for proxy in (2.0, np.float64(2.0)):
-        assert check_burn_in_functional(1100, 0.5, 0.1, 1.0, proxy) is True
-        assert check_burn_in_functional(1000, 0.5, 0.1, 1.0, proxy) is False
+        assert check_burn_in_functional(1100, 0.5, 0.1, proxy) is True
+        assert check_burn_in_functional(1000, 0.5, 0.1, proxy) is False

@@ -251,7 +251,6 @@ def test_kernel_moments_metadata_and_psd():
     xt = rng.uniform(0, 1, 25)
     u = train_kernel_regressor((xs, ys))
     km = estimate_kernel_moments((xs, ys), xt, u, bandwidth=0.7)
-    assert km.kappa_bar == 1.0
     assert km.bandwidth == 0.7
     assert km.n_est == 40 and km.m == 25
     np.testing.assert_array_equal(km.anchors, ys)
