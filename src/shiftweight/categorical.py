@@ -166,7 +166,6 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
             kkt = float(np.linalg.norm(T.T @ r / np.linalg.norm(r)
                                        + delta_T * theta / np.linalg.norm(theta)))
 
-    norm_theta = float(np.linalg.norm(theta))
     diag = {
         "sigma_min": float(s[-1]),
         "sigma_max": smax,
@@ -176,8 +175,6 @@ def e2_regularized(mom, delta_T, theta_cap=10.0):
         "iterations": evals,
         "solution_path": how,
         "kkt_residual": kkt,
-        "theta_norm": norm_theta,
-        "theta_cap": float(theta_cap),
-        "cap_exceeded": norm_theta > theta_cap,
+        "cap_exceeded": float(np.linalg.norm(theta)) > theta_cap,
     }
     return CategoricalWeightEstimate(theta, 1.0 + theta, "E2", diag)

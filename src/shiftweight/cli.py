@@ -57,16 +57,11 @@ def _check_writable(path):
 
 
 def _run(args):
-    seeds = None
-    if args.seeds is not None:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-        except ValueError:
-            print(f"error: bad --seeds value {args.seeds!r}", file=sys.stderr)
-            return EXIT_CONFIG
-
+    overrides = {key: text for key, text in (("seeds", args.seeds),
+                                             ("out", args.out))
+                 if text is not None}
     try:
-        cfg = load_config(args.config, seeds_override=seeds, out_override=args.out)
+        cfg = load_config(args.config, overrides)
         if cfg.out:
             _check_writable(cfg.out)
     except (ConfigError, OSError) as exc:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_counts
+from .errors import require_counts, require_finite
 
 # Natural logs everywhere: the radii come from exponential tail bounds.
 
@@ -24,8 +24,8 @@ def categorical_radii(d, k, alpha, n, m, delta):
     """
     _check_delta(delta)
     require_counts(d=d, k=k)
-    if not (alpha * n > 0 and m > 0):
-        raise ValueError("sample counts must be positive")
+    if not (alpha > 0 and n > 0 and m > 0):
+        raise ValueError("alpha and sample counts must be positive")
     an = alpha * n
     delta_p = math.sqrt(d / an * math.log(2.0 * d / delta))
     delta_q = math.sqrt(d / m * math.log(2.0 * d / delta))
@@ -40,8 +40,8 @@ def functional_radii(alpha, n, m, delta):
     delta_T equals delta_p; only the target radius sees m.
     """
     _check_delta(delta)
-    if not (alpha * n > 0 and m > 0):
-        raise ValueError("sample counts must be positive")
+    if not (alpha > 0 and n > 0 and m > 0):
+        raise ValueError("alpha and sample counts must be positive")
     delta_p = 2.0 * math.sqrt(2.0 / (alpha * n) * math.log(2.0 / delta))
     delta_q = 2.0 * math.sqrt(2.0 / m * math.log(2.0 / delta))
     return delta_p, delta_q, delta_p
@@ -49,11 +49,9 @@ def functional_radii(alpha, n, m, delta):
 
 def union_radii(path, alpha, n, m, delta, d=None, k=None):
     """The path's radii at delta / 3, the union bound over the three moment
-    events; the categorical path needs d and k.  delta_T does not see m."""
+    events; the categorical path reads d and k.  delta_T does not see m."""
     _check_delta(delta)     # the radii at delta / 3 would accept [1, 3)
     if path == "categorical":
-        if d is None or k is None:
-            raise ValueError("categorical path needs d and k")
         return categorical_radii(d, k, alpha, n, m, delta / 3.0)
     if path == "functional":
         return functional_radii(alpha, n, m, delta / 3.0)
@@ -62,10 +60,10 @@ def union_radii(path, alpha, n, m, delta, d=None, k=None):
 
 def burn_in_holds(path, alpha, n, delta, op_inv_norm, d=None, k=None):
     """True iff n is past burn-in, 2 ||T^+|| delta_T <= 1 with delta_T from
-    union_radii (m passed as n).  An infinite ||T^+|| fails the test; a NaN
-    input, or n = 0, raises ValueError."""
-    if not (alpha > 0 and n > 0 and op_inv_norm >= 0):
-        raise ValueError("alpha and n must be positive, ||T^+|| nonnegative")
+    union_radii (m passed as n), which checks alpha and n.  An infinite
+    ||T^+|| fails the test; a NaN input, or n = 0, raises ValueError."""
+    if not op_inv_norm >= 0:
+        raise ValueError("||T^+|| must be nonnegative")
     delta_T = union_radii(path, alpha, n, n, delta, d, k)[2]
     return bool(2.0 * op_inv_norm * delta_T <= 1.0)
 
@@ -113,27 +111,26 @@ def divergence_report(omega, p_source):
     Categorical: omega and p_source are vectors, d_inf = max omega and
     d_second = sum_i p_i * omega_i^2.  Continuous: omega and p_source are
     callables on [0, 1]; the sup and the second moment are taken on the grid.
-    Validates omega >= 0 and E_P[omega] = 1 within 1e-6.
+    Validates omega >= 0 and E_P[omega] = 1 within 1e-6; NaN or inf in
+    either input (on the grid) raises NonFiniteInput.
     """
     if callable(omega):
         ys = np.linspace(0.0, 1.0, DIVERGENCE_GRID)
         w = np.asarray(omega(ys), dtype=float)
         p = np.asarray(p_source(ys), dtype=float)
-        if w.min() < 0:
-            raise ValueError("weight function must be nonnegative")
-        mass = float(np.trapezoid(w * p, ys))
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"E_P[omega] = {mass}, expected 1")
-        d_inf = float(w.max())
-        d_second = float(np.trapezoid(w * w * p, ys))
+
+        def mean(v):
+            return float(np.trapezoid(v * p, ys))
     else:
         w = np.asarray(omega, dtype=float)
         p = np.asarray(p_source, dtype=float)
-        if w.min() < 0:
-            raise ValueError("weight vector must be nonnegative")
-        mass = float(p @ w)
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"E_P[omega] = {mass}, expected 1")
-        d_inf = float(w.max())
-        d_second = float(p @ (w * w))
-    return d_inf, d_second
+
+        def mean(v):
+            return float(p @ v)
+    require_finite(omega=w, p_source=p)
+    if w.min() < 0:
+        raise ValueError("weight must be nonnegative")
+    mass = mean(w)
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(f"E_P[omega] = {mass}, expected 1")
+    return float(w.max()), mean(w * w)

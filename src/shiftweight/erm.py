@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, require_finite
+from .errors import DataError, require_finite, require_paired
 from .predictors import (GramFactor, class_labels, gram_factor,
                          kernel_ridge_fit, logistic_fit)
 
@@ -134,8 +134,7 @@ def oracle_target_risk(model, target_x, target_y):
     target_x = np.asarray(target_x, dtype=float)
     if len(target_x) == 0:
         raise DataError("empty oracle target set")
-    if len(target_y) != len(target_x):
-        raise DataError(f"{len(target_x)} covariates with {len(target_y)} labels")
+    require_paired(target_x, target_y)
     require_finite(covariates=target_x, labels=target_y)
     pred = model.predict(target_x)
     if model.family == "logistic":

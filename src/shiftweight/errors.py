@@ -45,6 +45,13 @@ class DataError(ShiftWeightError, ValueError):
     sample weight, or no positive importance weight."""
 
 
+def require_paired(x, y):
+    """Raise DataError unless the covariates x and labels y have one label
+    per covariate."""
+    if len(x) != len(y):
+        raise DataError(f"{len(x)} covariates with {len(y)} labels")
+
+
 class IllConditioned(ShiftWeightError):
     """An SPD solve met a matrix that is not numerically positive definite,
     or NaN or inf in its inputs; or an iterative fit did not converge within

@@ -66,7 +66,12 @@ class ExperimentConfig:
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def _parse_value(key, raw, lineno):
+def _parse_value(key, raw, where, line=None):
+    """The typed value of config key from its raw text; where ("line 3",
+    "--seeds") starts the message of the ConfigError a bad key or value
+    raises."""
+    if key not in _FIELDS:
+        raise ConfigError(f"{where}: unknown key {key!r}", line=line, field=key)
     kind = _FIELDS[key].type
     try:
         if kind is tuple:
@@ -81,8 +86,8 @@ def _parse_value(key, raw, lineno):
             return "auto" if raw.lower() == "auto" else float(raw)
         return kind(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse {key} = {raw!r}",
-                          line=lineno, field=key) from None
+        raise ConfigError(f"{where}: cannot parse {key} = {raw!r}",
+                          line=line, field=key) from None
 
 
 def parse_config_text(text):
@@ -97,15 +102,11 @@ def parse_config_text(text):
                               line=lineno)
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}",
-                              line=lineno, field=key)
-        raw[key] = _parse_value(key, value, lineno)
+        raw[key] = _parse_value(key, value.strip(), f"line {lineno}", lineno)
     return raw
 
 
-def build_config(raw, seeds_override=None, out_override=None):
+def build_config(raw):
     """Validate the raw key dict, rejecting unknown keys, and fill defaults."""
     for key in raw:
         if key not in _FIELDS:
@@ -114,10 +115,6 @@ def build_config(raw, seeds_override=None, out_override=None):
         if f.default is MISSING and f.name not in raw:
             raise ConfigError(f"missing required key {f.name!r}", field=f.name)
     cfg = ExperimentConfig(**raw)
-    if seeds_override is not None:
-        cfg.seeds = tuple(seeds_override)
-    if out_override is not None:
-        cfg.out = out_override
     cfg.sweep = tuple(cfg.sweep)
 
     if cfg.scenario not in SCENARIOS:
@@ -182,10 +179,15 @@ def build_config(raw, seeds_override=None, out_override=None):
     return cfg
 
 
-def load_config(path, seeds_override=None, out_override=None):
+def load_config(path, overrides=None):
+    """The ExperimentConfig of the config file at path.  overrides maps keys
+    to raw text given as command-line options (--seeds, --out); each is
+    parsed as a file line would be and replaces the file's value."""
     with open(path, encoding="utf-8") as fh:
         raw = parse_config_text(fh.read())
-    return build_config(raw, seeds_override, out_override)
+    for key, text in (overrides or {}).items():
+        raw[key] = _parse_value(key, text, f"--{key}")
+    return build_config(raw)
 
 
 # ===================== metrics =====================

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import class_centers, label_masses
-from .errors import DataError, require_finite
+from .errors import DataError, require_finite, require_paired
 from .predictors import class_labels, gaussian_pivoted_cholesky, gram_factor
 
 
@@ -40,20 +40,28 @@ class KernelMoments:
     m: int
 
 
+def _checked_sample(est_split, target_x):
+    """The split's covariates and labels and the target covariates, both
+    covariate arrays as floats; an empty split or target set, or a label
+    count that differs from the covariates', raises DataError, NaN or inf
+    covariates NonFiniteInput."""
+    x, y = est_split
+    x = np.asarray(x, dtype=float)
+    target_x = np.asarray(target_x, dtype=float)
+    if len(x) == 0 or len(target_x) == 0:
+        raise DataError("empty estimation split or target set")
+    require_paired(x, y)
+    require_finite(source_covariates=x, target_covariates=target_x)
+    return x, y, target_x
+
+
 def estimate_categorical_moments(est_split, target_x, g, k):
     """Empirical (T_hat, p_hat, q_hat) from the estimation split and target covariates.
 
     T_hat averages g(x_i) e_{y_i}^T over the split; p_hat and q_hat average g
     over source and target covariates.  g gives one d-vector per point.
     """
-    x, y = est_split
-    x = np.asarray(x, dtype=float)
-    target_x = np.asarray(target_x, dtype=float)
-    if len(x) == 0 or len(target_x) == 0:
-        raise DataError("empty estimation split or target set")
-    if len(y) != len(x):
-        raise DataError(f"{len(x)} covariates with {len(y)} labels")
-    require_finite(source_covariates=x, target_covariates=target_x)
+    x, y, target_x = _checked_sample(est_split, target_x)
     y = class_labels(y, k)
     n = len(x)
     gs = np.asarray(g(x), dtype=float)
@@ -76,14 +84,8 @@ def estimate_kernel_moments(est_split, target_x, u, bandwidth=0.9):
     The anchors are the estimation-split labels; target points enter only
     through the target rows of the u-image factor.
     """
-    x, y = est_split
-    x = np.asarray(x, dtype=float)
-    target_x = np.asarray(target_x, dtype=float)
-    if len(x) == 0 or len(target_x) == 0:
-        raise DataError("empty estimation split or target set")
-    if len(y) != len(x):
-        raise DataError(f"{len(x)} covariates with {len(y)} labels")
-    require_finite(source_covariates=x, labels=y, target_covariates=target_x)
+    x, y, target_x = _checked_sample(est_split, target_x)
+    require_finite(labels=y)
     u_src = np.asarray(u(x), dtype=float).reshape(-1)
     u_tgt = np.asarray(u(target_x), dtype=float).reshape(-1)
     N = len(x)

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, IllConditioned, require_finite
+from .errors import DataError, IllConditioned, require_finite, require_paired
 
 
 class StatisticFn:
@@ -377,8 +377,7 @@ def train_simplex(train, k):
 def train_hypercube(train, k):
     """One-hot least-squares statistic; outputs clipped to [-1, 1]^k."""
     x, y = train
-    if len(y) != len(x):
-        raise DataError(f"{len(x)} covariates with {len(y)} labels")
+    require_paired(x, y)
     _check_classes_present(y, k)
     centers, scale = feature_plan(x)
     feats = rbf_features(x, centers, scale)
@@ -400,7 +399,10 @@ def gaussian_gram(a, b, bandwidth):
     """The Gaussian block kernel(a_i, b_j), shape (len(a), len(b)), in
     column-major order: built as the transpose of a C-ordered (len(b),
     len(a)) block, so each pass runs along the a-samples.  (b - a)^2 and
-    (a - b)^2 round alike, so the values are those of the row-major build."""
+    (a - b)^2 round alike, so the values are those of the row-major build.
+    A bandwidth that is not positive raises ValueError."""
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     return _gaussian_block(b, a, bandwidth, np.empty((len(b), len(a)))).T
@@ -498,8 +500,7 @@ def kernel_ridge_fit(factor, y, w):
     rounding).  y holds one label per covariate.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != factor.points.shape:
-        raise DataError(f"{len(factor.points)} covariates with {len(y)} labels")
+    require_paired(factor.points, y)
     require_finite(labels=y)
     ybar = float((w * y).sum() / w.sum())
     phi, pivots = factor.phi, factor.pivots

@@ -58,7 +58,8 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
 def test_bad_seeds_flag_exits_two(tmp_path, capsys):
     code = main(["run", _write(tmp_path, GOOD), "--seeds", "a,b"])
     assert code == EXIT_CONFIG
-    assert "--seeds" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: --seeds: cannot parse seeds = 'a,b'" in err
 
 
 def test_negative_seeds_flag_exits_two(tmp_path, capsys):
@@ -120,6 +121,14 @@ def test_seeds_override_shrinks_run(tmp_path):
     assert len(lines) == 2 + 1 + 1
     seed_col = CSV_COLUMNS.index("seed")
     assert lines[2].split(",")[seed_col] == "5"
+
+
+def test_out_flag_replaces_the_config_out(tmp_path):
+    """--out is parsed like the file's out key and replaces it."""
+    from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    path = _write(tmp_path, GOOD + f"out = {from_file}\n")
+    assert main(["run", path, "--out", str(from_flag), "--quiet"]) == EXIT_OK
+    assert from_flag.exists() and not from_file.exists()
 
 
 def test_undersampled_classes_exit_three(tmp_path, capsys):

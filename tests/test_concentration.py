@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftweight import (CategoricalSynthConfig, RegressionSynthConfig,
-                         categorical_radii, composite_epsilon,
+from shiftweight import (CategoricalSynthConfig, NonFiniteInput,
+                         RegressionSynthConfig, categorical_radii, composite_epsilon,
                          confidence_report, divergence_report,
                          functional_radii, gen_categorical,
                          population_moments_categorical, source_density,
@@ -108,6 +108,21 @@ def test_invalid_counts_rejected(d, k, bad):
         categorical_radii(d, k, 0.5, 100, 100, 0.1)
 
 
+@pytest.mark.parametrize("alpha, n, m", [(-0.5, -100, 100), (0.0, 100, 100),
+                                         (0.5, 0, 100), (0.5, 100, 0),
+                                         (0.5, 100, -1)])
+def test_invalid_sample_counts_rejected(alpha, n, m):
+    """alpha, n and m are each checked: a negative alpha with a negative n
+    used to give radii, since only their product was tested, and
+    confidence_report gave epsilon_delta 37.9 from them."""
+    with pytest.raises(ValueError, match="sample counts must be positive"):
+        categorical_radii(2, 2, alpha, n, m, 0.1)
+    with pytest.raises(ValueError, match="sample counts must be positive"):
+        functional_radii(alpha, n, m, 0.1)
+    with pytest.raises(ValueError, match="sample counts must be positive"):
+        confidence_report("functional", alpha, n, m, 0.1, 1.0, 1.0)
+
+
 def test_composite_epsilon_formula():
     eps = composite_epsilon((0.1, 0.2, 0.3), proxy_inv_norm=1.5, theta_max=2.0)
     assert abs(eps - 2 * 1.5 * (0.2 + 0.1 + 2.0 * 0.3)) < 1e-15
@@ -184,6 +199,22 @@ def test_divergence_report_functional_sup_at_right_edge():
 def test_divergence_report_rejects_negative_weight():
     with pytest.raises(ValueError):
         divergence_report(np.array([-0.5, 2.5]), np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_divergence_report_rejects_non_finite_input(bad):
+    """NaN used to pass both checks (the mass test is False on NaN) and
+    came back as (nan, nan)."""
+    with pytest.raises(NonFiniteInput, match="omega"):
+        divergence_report(np.array([bad, 1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(NonFiniteInput, match="p_source"):
+        divergence_report(np.array([1.0, 1.0]), np.array([bad, 0.5]))
+    cfg = RegressionSynthConfig(a=0.2, b=0.8)
+    omega, pdf = true_weight_function(cfg), source_density(cfg)
+    with pytest.raises(NonFiniteInput, match="omega"):
+        divergence_report(lambda ys: np.where(ys > 0.5, bad, omega(ys)), pdf)
+    with pytest.raises(NonFiniteInput, match="p_source"):
+        divergence_report(omega, lambda ys: np.where(ys > 0.5, bad, pdf(ys)))
 
 
 def test_divergence_report_rejects_non_unit_mean():

@@ -12,8 +12,9 @@ import pytest
 
 import shiftweight
 from shiftweight import (ConfigError, DataError, ExperimentConfig,
-                         RegressionSynthConfig, build_config, relative_error,
-                         rows_to_csv, run_experiment, true_weight_function)
+                         RegressionSynthConfig, build_config, load_config,
+                         relative_error, rows_to_csv, run_experiment,
+                         true_weight_function)
 from shiftweight import experiments, moments, predictors
 from shiftweight.experiments import CSV_COLUMNS, _summaries, parse_config_text
 
@@ -207,9 +208,28 @@ def test_float_keys_are_the_expected_ones():
                                "theta_max"}
 
 
-def test_build_seeds_override_replaces_file_seeds():
-    cfg = build_config(dict(BASE), seeds_override=[7, 8, 9])
+def test_build_seeds_override_replaces_file_seeds(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("scenario = single_run\nestimator = E1\nseeds = 0, 1\n",
+                    encoding="utf-8")
+    cfg = load_config(path, {"seeds": "7, 8, 9"})
     assert cfg.seeds == (7, 8, 9)
+    assert load_config(path).seeds == (0, 1)
+
+
+def test_override_is_parsed_as_a_file_line_is(tmp_path):
+    """A command-line value goes through the file's parser and checks, and
+    its errors name the option."""
+    path = tmp_path / "run.cfg"
+    path.write_text("scenario = single_run\nestimator = E1\nseeds = 0\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="--seeds: cannot parse seeds") as exc:
+        load_config(path, {"seeds": "a,b"})
+    assert exc.value.field == "seeds" and exc.value.line is None
+    with pytest.raises(ConfigError, match="--wat: unknown key 'wat'"):
+        load_config(path, {"wat": "1"})
+    with pytest.raises(ConfigError, match="seeds must be nonempty"):
+        load_config(path, {"seeds": " , "})
 
 
 def test_build_defaults():

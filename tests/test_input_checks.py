@@ -15,7 +15,8 @@ from shiftweight import (DataError, IllConditioned, MomentEstimates,
                          evaluate_weight, functional_radii, oracle_target_risk,
                          theta_function, train_hypercube,
                          train_kernel_regressor, train_simplex, weighted_erm)
-from shiftweight.predictors import _safe_spd_solve, gaussian_pivoted_cholesky
+from shiftweight.predictors import (_safe_spd_solve, gaussian_gram,
+                                    gaussian_pivoted_cholesky)
 
 
 def _sample():
@@ -276,8 +277,12 @@ def test_factor_rejects_non_finite_points(bad):
 
 @pytest.mark.parametrize("bandwidth", (0.0, -0.5, np.nan))
 def test_factor_rejects_nonpositive_bandwidth(bandwidth):
+    """gaussian_gram used to return NaN on the diagonal at 0, all NaN at
+    NaN, and the bandwidth-1 block at -1."""
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         gaussian_pivoted_cholesky(np.array([0.0, 1.0]), bandwidth)
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        gaussian_gram(np.array([0.0, 1.0]), np.array([0.5]), bandwidth)
 
 
 # ===================== NaN at the scalar entry checks =====================
@@ -346,7 +351,8 @@ def test_empty_input_is_a_data_error(entry):
 
 def test_confidence_report_needs_d_and_k_on_the_categorical_path():
     for d, k in ((None, 2), (2, None)):
-        with pytest.raises(ValueError, match="needs d and k"):
+        name = "d" if d is None else "k"
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             confidence_report("categorical", 0.5, 800, 800, 0.1, 1.0, 1.0,
                               d=d, k=k)
 
