@@ -132,24 +132,38 @@ RIDGE = 1e-2                # ridge of the kernel ridge fits (u and kernel-ridge
 C = 16
 NEWTON_TOL = 1e-14          # stop once the Newton decrement is at most this
 NEWTON_MAX_STEPS = 50
-# The first HESSIAN_ASSEMBLIES iterates solve with an assembled Hessian;
-# later ones by conjugate gradients on exact Hessian products, preconditioned
-# by the inverse of the last assembled Hessian, until the residual is at most
-# CG_TOL times the gradient.  CG that meets non-positive curvature or runs
-# CG_MAX_ITER iterations assembles that iterate's Hessian instead.  Over the
-# 8 benchmark ERM-split fits (seeds 101000-101003, unit and
-# linspace(0.5, 2, 4) weights, n = 4000, k = 4, 1 BLAS thread):
+# Every Newton direction comes from conjugate gradients on exact Hessian
+# products, until the residual is at most CG_TOL times the gradient,
+# preconditioned by the inverse of the binned Hessian: the samples pooled
+# into BINS equal-width covariate bins (_binned_hessian).  It is refreshed
+# at the first HESSIAN_ASSEMBLIES iterates; later ones keep the last.  CG
+# that meets non-positive curvature or runs CG_MAX_ITER iterations, or a
+# binned Hessian that is not finite or not positive definite, assembles
+# that iterate's exact Hessian instead, and its inverse preconditions the
+# later iterates.  Fit time against two exact assemblies (at iterates 0-1,
+# CG after them) on the six benchmark ERM-split fits (seeds
+# 101000-101002, unit and linspace(0.5, 2, 4) weights, n = 4000, k = 4;
+# median and quartiles of 15 alternating in-process pairs, 1 BLAS thread),
+# and the Newton steps and Hessian products per fit:
 #
-#   policy                      steps  assemblies  products  ms / fit   to reference
-#   assemble every step          5.25     5.25        0     27.2-28.0   4.4e-13
-#   iterates 1-2, CG to 1e-8     5.25     2.00      20.8    18.7-19.3   4.4e-13
-#   iterates 1-2, CG to 1e-4     5.25     2.00      11.4    16.6-17.5   2.7e-11
-#   iterate 1 only, CG to 1e-8   5.25     1.00      54.2    21.0-26.1   4.4e-13
+#   bins  refreshed at     fit time            steps  products
+#    48   iterates 0-1     0.825 (0.757-0.907)  5.17    32.2
+#    64   iterates 0-1     0.811 (0.804-0.821)  5.17    30.3
+#    96   iterates 0-1     0.796 (0.786-0.801)  5.17    28.5
+#   128   iterates 0-1     0.805 (0.796-0.854)  5.17    27.8
+#   256   iterates 0-1     0.791 (0.779-0.797)  5.17    25.8
+#   512   iterates 0-1     0.853 (0.841-0.863)  5.17    25.8
+#   128   iterate 0 only   1.020 (0.960-1.045)  5.17    56.7
+#   128   iterates 0-2     0.856 (0.850-0.895)  5.17    20.3
+#   128   every iterate    1.026 (1.008-1.029)  5.17    18.8
 #
-# "to reference" is the largest distance of W to the dense Newton fit,
-# relative; CG to 1e-4 leaves the 1e-12 the fit is held to.  An assembly
-# takes about 4.0 ms, a product 0.18 ms.
+# 96-256 bins are alike within the pairs' spread.  Two exact assemblies
+# took 20.0 products a fit.  No variant assembled, and each left W within
+# 1.4e-14 relative of the two-assembly fit.  A binned
+# Hessian takes about 0.5 ms and its inverse 0.95 ms, an exact assembly
+# 2.7 ms and a product 0.14 ms.
 HESSIAN_ASSEMBLIES = 2
+BINS = 128
 CG_TOL = 1e-8
 CG_MAX_ITER = 20
 
@@ -174,25 +188,75 @@ def _least_squares_start(feats, onehot, w, g):
     return _safe_spd_solve(gram, ((logp * sw) @ g).T)
 
 
-def _assemble_hessian(feats, w, probs, g):
-    """The (k p, k p) Hessian of the weighted logistic loss at the (k, n)
-    probabilities, class-major like the flattened (k, p) gradient.  g is an
-    n x p scratch in the order of feats."""
-    n, p = feats.shape
-    k = len(probs)
-    # Block (a, b) couples W[:, a] and W[:, b].  Off the diagonal it is
-    # -F^T diag(w p_a p_b / n) F; the probabilities sum to one, so each
-    # diagonal block is minus the sum of the others in its block row.
+def _pair_blocks(k, p, pair_gram):
+    """The (k p, k p) Hessian of the weighted logistic loss, class-major
+    like the flattened (k, p) gradient, from pair_gram(a, b), the p x p
+    Gram F^T diag(w p_a p_b / n) F of the class pair a < b (or an
+    approximation of it).  Block (a, b) couples W[:, a] and W[:, b]: off the
+    diagonal it is minus that Gram; the probabilities sum to one, so each
+    diagonal block is minus the sum of the others in its block row.  The
+    result is a sum of (e_a - e_b)(e_a - e_b)^T kron Gram terms plus REG I."""
     hess = np.zeros((k, p, k, p))
     for a in range(k):
         for b in range(a + 1, k):
-            np.multiply(feats, np.sqrt(w * probs[a] * probs[b] / n)[:, None],
-                        out=g)
-            gram = g.T @ g
+            gram = pair_gram(a, b)
             hess[a, :, b] = hess[b, :, a] = -gram
             hess[a, :, a] += gram
             hess[b, :, b] += gram
     return hess.reshape(k * p, k * p) + REG * np.eye(k * p)
+
+
+def _assemble_hessian(feats, w, probs, g):
+    """The exact Hessian at the (k, n) probabilities: one n x p scaling and
+    Gram per class pair.  g is an n x p scratch in the order of feats."""
+    n, p = feats.shape
+
+    def pair_gram(a, b):
+        np.multiply(feats, np.sqrt(w * probs[a] * probs[b] / n)[:, None],
+                    out=g)
+        return g.T @ g
+
+    return _pair_blocks(len(probs), p, pair_gram)
+
+
+def _covariate_bins(x):
+    """The bin of each covariate among BINS equal-width bins over
+    [min x, max x]; one bin when the range is 0."""
+    lo, width = x.min(), np.ptp(x)
+    if not width > 0:
+        return np.zeros(len(x), dtype=np.intp)
+    return np.minimum(((x - lo) / width * BINS).astype(np.intp), BINS - 1)
+
+
+def _binned_hessian(x, bins, w, probs, centers, scale):
+    """The Hessian at the (k, n) probabilities with the samples pooled into
+    their covariate bins: for each class pair, a bin's weight
+    c = sum w p_a p_b / n sits at the bin's c-weighted mean covariate, so
+    the pair's Gram is taken over at most BINS feature rows instead of n.
+    Like the exact Hessian it is positive definite by construction (a sum of
+    (e_a - e_b)(e_a - e_b)^T kron Gram terms plus REG I).  The features vary
+    on the feature plan's length scale, about five bin widths on the
+    benchmark splits, so it is close to the exact one."""
+    n = len(x)
+
+    def pair_gram(a, b):
+        c = w * probs[a] * probs[b] / n
+        mass = np.bincount(bins, weights=c)
+        held = mass > 0
+        mean = np.bincount(bins, weights=c * x)[held] / mass[held]
+        g = rbf_features(mean, centers, scale) * np.sqrt(mass[held])[:, None]
+        return g.T @ g
+
+    return _pair_blocks(len(probs), len(centers) + 1, pair_gram)
+
+
+def _spd_inverse(a):
+    """The inverse of the symmetric positive definite a, or None when a is
+    not finite or its Cholesky factorization fails."""
+    try:
+        return _safe_spd_solve(a, np.eye(len(a)))
+    except IllConditioned:
+        return None
 
 
 def _hessian_product(feats, w, probs, V):
@@ -243,10 +307,11 @@ def _conjugate_gradients(product, b, precond):
 def _newton_direction(grad, assemble, product, precond):
     """The Newton direction H^-1 grad for the (k, p) gradient, and the
     Hessian assembled for it (None when none was).  With precond, the
-    inverse of an earlier assembled Hessian, by _conjugate_gradients on the
-    exact products product(V) = H V.  Without it, or when CG gives up, from
-    assemble()'s Hessian by _safe_spd_solve, which raises IllConditioned on
-    a Hessian that is non-finite or not numerically positive definite."""
+    inverse of a binned or an earlier assembled Hessian, by
+    _conjugate_gradients on the exact products product(V) = H V.  Without
+    it, or when CG gives up, from assemble()'s Hessian by _safe_spd_solve,
+    which raises IllConditioned on a Hessian that is non-finite or not
+    numerically positive definite."""
     if precond is not None:
         step = _conjugate_gradients(product, grad, precond)
         if step is not None:
@@ -267,26 +332,35 @@ def _softmax(z):
     return ez, np.log(total)
 
 
-def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
-    """Minimizes sum_i w_i CE_i / n + REG/2 ||W||^2 over the (p, k) softmax
-    weights W by damped Newton from start (when None, the least-squares
-    logits of _least_squares_start; pass zeros to start there): each step is
-    halved until the loss drops by a quarter of the decrement g^T H^-1 g.
-    The direction H^-1 g comes from an assembled Hessian at the first
-    HESSIAN_ASSEMBLIES iterates, and from preconditioned conjugate gradients
-    on exact Hessian products after them (_newton_direction).  The fit
-    stops once that decrement is at most NEWTON_TOL, or once the point the
-    halving accepts is W itself, bit for bit: then no
-    representable step along the Newton direction lowers the loss.  The loss
-    is strongly convex, so its minimizer does not depend on start.  Unit
-    weights run the unweighted code path.  Weights must be finite and
-    non-negative; zero weights are allowed.  Labels must lie in 0..k-1, and
-    y and the weights must have one entry per row of feats."""
+def logistic_fit(x, y, k, w=None, start=None):
+    """Weighted multinomial logistic regression on the RBF features of x.
+    Returns the logits function xq -> (len(xq), k), the logits at x (the
+    values that function gives at x) and the (p, k) weights W.
+
+    W minimizes sum_i w_i CE_i / n + REG/2 ||W||^2 (w = None: unit weights)
+    by damped Newton from start, a Newton start for W such as the weights of
+    an earlier fit on the same x (when None, the least-squares logits of
+    _least_squares_start; pass zeros to start there): each step is halved
+    until the loss drops by a quarter of the decrement g^T H^-1 g.  The
+    direction H^-1 g comes from _newton_direction: conjugate gradients on
+    exact Hessian products, preconditioned by the inverse of the binned
+    Hessian (_binned_hessian), refreshed at the first HESSIAN_ASSEMBLIES
+    iterates.  The fit stops once that decrement is at most NEWTON_TOL, or
+    once the point the halving accepts is W itself, bit for bit: then no
+    representable step along the Newton direction lowers the loss.  The
+    loss is strongly convex, so its minimizer does not depend on start.
+    Weights must be finite and non-negative; zero weights are allowed.
+    Labels must lie in 0..k-1, and y and the weights must have one entry
+    per covariate."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    centers, scale = feature_plan(x)
+    feats = rbf_features(x, centers, scale)
+    bins = _covariate_bins(x)
     n, p = feats.shape
     y = class_labels(y, k)
     if y.shape != (n,):
         raise DataError(f"y has shape {y.shape}, expected ({n},)")
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    w = np.ones(n) if w is None else np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise DataError(f"sample_weight has shape {w.shape}, expected ({n},)")
     require_finite(sample_weight=w)
@@ -301,10 +375,10 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
     # pass reads one contiguous row.
     onehot = np.zeros((k, n))
     onehot[y, np.arange(n)] = 1.0
-    # Shared by all Hessian blocks (one per block was 14% slower) and by the
-    # least-squares start.  It takes the order of feats, so on
-    # rbf_features' column-major block each scaling runs along contiguous
-    # columns.
+    # Shared by all blocks of an assembled Hessian (one per block was 14%
+    # slower) and by the least-squares start.  It takes the order of feats,
+    # so on rbf_features' column-major block each scaling runs along
+    # contiguous columns.
     g = np.empty_like(feats)
     if start is None:
         W = _least_squares_start(feats, onehot, w, g)
@@ -317,11 +391,15 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
         return w @ ce / n + 0.5 * REG * np.sum(W * W), probs
 
     f, probs = state(W)
-    # The last assembled Hessian, and its inverse once a CG step needs it
+    # The preconditioner: the inverse of the last binned Hessian, or of the
+    # last Hessian assembled when CG gave up, once a CG step needs it
     hess = precond = None
     for it in range(NEWTON_MAX_STEPS):
         grad = ((probs - onehot) * w) @ feats / n + REG * W.T     # (k, p)
-        if it >= HESSIAN_ASSEMBLIES and precond is None:
+        if it < HESSIAN_ASSEMBLIES:
+            precond = _spd_inverse(
+                _binned_hessian(x, bins, w, probs, centers, scale))
+        elif precond is None:
             precond = np.linalg.inv(hess)   # hess passed the Cholesky check
         step, assembled = _newton_direction(
             grad, lambda: _assemble_hessian(feats, w, probs, g),
@@ -331,7 +409,8 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
         step = step.T
         dec = float(np.sum(grad.T * step))
         if dec <= NEWTON_TOL:
-            return W - step
+            W = W - step
+            break
         t = 1.0
         W_new = W - step
         f_new, probs_new = state(W_new)
@@ -340,20 +419,11 @@ def fit_multinomial_logistic(feats, y, k, sample_weight=None, start=None):
             W_new = W - t * step
             f_new, probs_new = state(W_new)
         if np.array_equal(W_new, W):
-            return W
+            break
         W, f, probs = W_new, f_new, probs_new
-    raise IllConditioned(f"logistic fit not converged in {NEWTON_MAX_STEPS} steps")
-
-
-def logistic_fit(x, y, k, w=None, start=None):
-    """Weighted multinomial logistic regression on the RBF features of x.
-    Returns the logits function xq -> (len(xq), k), the logits at x (the
-    values that function gives at x) and the (p, k) weights W.  w = None:
-    unit weights; start: a Newton start for W, such as the weights of an
-    earlier fit on the same x."""
-    centers, scale = feature_plan(x)
-    feats = rbf_features(x, centers, scale)
-    W = fit_multinomial_logistic(feats, y, k, sample_weight=w, start=start)
+    else:
+        raise IllConditioned(
+            f"logistic fit not converged in {NEWTON_MAX_STEPS} steps")
 
     def logits(xq):
         return rbf_features(xq, centers, scale) @ W

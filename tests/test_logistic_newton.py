@@ -1,27 +1,32 @@
 """The weighted multinomial logistic fit behind the simplex statistic and
 logistic ERM: convergence to the minimizer, agreement with a dense Newton
-reference from the default least-squares start and from a warm start,
-independence of the feature layout, typed failures at the cap and on bad
-labels, weights or starts, the runner's prior-shifted ERM start, the
-Newton steps each start takes, and the conjugate-gradient directions of the
-later steps: exact Hessian products, the fallback to an assembled Hessian
-and the assemblies each fit makes."""
+reference from the default least-squares start and from a warm start and on
+degenerate covariates, typed failures at the cap and on bad labels, weights
+or starts, the runner's prior-shifted ERM start, the Newton steps each start
+takes, and the preconditioned conjugate-gradient directions: exact Hessian
+products, the binned Hessian that preconditions them, the fallback to an
+assembled Hessian, and the assemblies and products each fit makes."""
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp, softmax
 
 from shiftweight import (CategoricalSynthConfig, DataError, IllConditioned,
                          NonFiniteInput, build_config, gen_categorical,
                          split_alpha, train_simplex)
 from shiftweight import experiments, predictors
-from shiftweight.predictors import (HESSIAN_ASSEMBLIES, NEWTON_MAX_STEPS,
-                                    NEWTON_TOL, REG, _assemble_hessian,
-                                    _hessian_product, _safe_spd_solve,
-                                    feature_plan, fit_multinomial_logistic,
-                                    rbf_features)
+from shiftweight.predictors import (BINS, HESSIAN_ASSEMBLIES,
+                                    NEWTON_MAX_STEPS, NEWTON_TOL, REG,
+                                    _assemble_hessian, _binned_hessian,
+                                    _covariate_bins, _hessian_product,
+                                    _least_squares_start, _safe_spd_solve,
+                                    feature_plan, logistic_fit, rbf_features)
 
 
 def dense_newton_reference(feats, y, k, w):
@@ -58,10 +63,15 @@ def dense_newton_reference(feats, y, k, w):
     raise IllConditioned("reference fit not converged")
 
 
-def _assert_matches_reference(feats, y, k, w, feats_q, start=None):
-    W = fit_multinomial_logistic(feats, y, k, sample_weight=w, start=start)
-    W_ref = dense_newton_reference(feats, y, k, w)
+def _assert_matches_reference(x, y, k, w, xq, start=None):
+    """The fit on the covariates x and the dense Newton reference on their
+    RBF features are within 1e-12 relative, and predict the same classes
+    at xq."""
+    W = logistic_fit(x, y, k, w, start=start)[2]
+    centers, scale = feature_plan(x)
+    W_ref = dense_newton_reference(rbf_features(x, centers, scale), y, k, w)
     assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+    feats_q = rbf_features(xq, centers, scale)
     np.testing.assert_array_equal(np.argmax(feats_q @ W, axis=1),
                                   np.argmax(feats_q @ W_ref, axis=1))
 
@@ -71,12 +81,10 @@ def _assert_matches_reference(feats, y, k, w, feats_q, start=None):
 def test_fit_matches_the_dense_reference(k, weighting):
     ds = gen_categorical(CategoricalSynthConfig(k, 0.5, 700 + k), 1500, 1500)
     x, y = ds.source_x, ds.source_y
-    centers, scale = feature_plan(x)
     w = {"unit": np.ones(k),
          "per_class": np.linspace(0.5, 2.0, k),
          "one_class_zero": np.r_[np.ones(k - 1), 0.0]}[weighting][y]
-    _assert_matches_reference(rbf_features(x, centers, scale), y, k, w,
-                              rbf_features(ds.target_x, centers, scale))
+    _assert_matches_reference(x, y, k, w, ds.target_x)
 
 
 @pytest.mark.parametrize("weighted", (False, True))
@@ -85,10 +93,8 @@ def test_benchmark_erm_fits_match_the_dense_reference(seed, weighted):
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, seed), 8000, 8000)
     sp = split_alpha(ds, 0.5, seed=seed)
     x, y = sp.erm_x, sp.erm_y
-    centers, scale = feature_plan(x)
     w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
-    _assert_matches_reference(rbf_features(x, centers, scale), y, 4, w,
-                              rbf_features(ds.target_x, centers, scale))
+    _assert_matches_reference(x, y, 4, w, ds.target_x)
 
 
 @pytest.mark.parametrize("weighted", (False, True))
@@ -102,10 +108,8 @@ def test_hard_erm_fits_match_the_dense_reference(k, noise_std, weighted):
                              8000, 8000)
         sp = split_alpha(ds, 0.5, seed=seed)
         x, y = sp.erm_x, sp.erm_y
-        centers, scale = feature_plan(x)
         w = np.linspace(0.5, 2.0, k)[y] if weighted else np.ones(len(y))
-        _assert_matches_reference(rbf_features(x, centers, scale), y, k, w,
-                                  rbf_features(ds.target_x, centers, scale))
+        _assert_matches_reference(x, y, k, w, ds.target_x)
 
 
 @pytest.mark.parametrize("weighted", (False, True))
@@ -117,12 +121,9 @@ def test_warm_started_benchmark_erm_fits_match_the_dense_reference(seed,
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, seed), 8000, 8000)
     sp = split_alpha(ds, 0.5, seed=seed)
     x, y = sp.erm_x, sp.erm_y
-    centers, scale = feature_plan(x)
-    feats = rbf_features(x, centers, scale)
     w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
-    _assert_matches_reference(feats, y, 4, w,
-                              rbf_features(ds.target_x, centers, scale),
-                              start=fit_multinomial_logistic(feats, y, 4))
+    _assert_matches_reference(x, y, 4, w, ds.target_x,
+                              start=logistic_fit(x, y, 4)[2])
 
 
 @pytest.mark.parametrize("bad, error", (
@@ -134,8 +135,7 @@ def test_bad_start_is_typed(bad, error):
     x = np.linspace(0.0, 3.0, 60)
     y = np.repeat(np.arange(4), 15)
     with pytest.raises(error, match="start"):
-        fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 4,
-                                 start=bad)
+        logistic_fit(x, y, 4, start=bad)
 
 
 @pytest.mark.parametrize("bad, error", ((-0.5, DataError),
@@ -146,8 +146,7 @@ def test_bad_sample_weight_is_typed(bad, error):
     w = np.ones(60)
     w[7] = bad
     with pytest.raises(error):
-        fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 3,
-                                 sample_weight=w)
+        logistic_fit(x, y, 3, w)
 
 
 @pytest.mark.parametrize("label", (-1, 3))
@@ -158,7 +157,7 @@ def test_label_outside_the_classes_is_typed(label):
     y = np.repeat(np.arange(3), 20)
     y[5] = label
     with pytest.raises(DataError, match="outside"):
-        fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 3)
+        logistic_fit(x, y, 3)
 
 
 @pytest.mark.parametrize("n_labels, n_weights", ((59, None), (60, 59), (60, 1)))
@@ -168,30 +167,7 @@ def test_labels_or_weights_not_matching_the_rows_are_typed(n_labels,
     y = np.repeat(np.arange(3), 20)[:n_labels]
     w = None if n_weights is None else np.ones(n_weights)
     with pytest.raises(DataError, match="expected \\(60,\\)"):
-        fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 3,
-                                 sample_weight=w)
-
-
-@pytest.mark.parametrize("weighted", (False, True))
-def test_fit_does_not_depend_on_feature_layout(weighted):
-    """rbf_features returns a column-major block; a C-ordered copy of the
-    same features gives the same W within 1e-13 relative (at most 2.8e-14
-    over the 12 weighted and unweighted ERM fits of seeds 101000-101005)
-    and the same predicted classes on the target."""
-    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 101000), 8000, 8000)
-    sp = split_alpha(ds, 0.5, seed=101000)
-    x, y = sp.erm_x, sp.erm_y
-    centers, scale = feature_plan(x)
-    feats = rbf_features(x, centers, scale)
-    w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
-    W_f = fit_multinomial_logistic(np.asfortranarray(feats), y, 4,
-                                   sample_weight=w)
-    W_c = fit_multinomial_logistic(np.ascontiguousarray(feats), y, 4,
-                                   sample_weight=w)
-    assert np.linalg.norm(W_c - W_f) <= 1e-13 * np.linalg.norm(W_f)
-    feats_q = rbf_features(ds.target_x, centers, scale)
-    np.testing.assert_array_equal(np.argmax(feats_q @ W_c, axis=1),
-                                  np.argmax(feats_q @ W_f, axis=1))
+        logistic_fit(x, y, 3, w)
 
 
 @pytest.mark.parametrize("weighted", (False, True))
@@ -204,12 +180,68 @@ def test_fit_reaches_the_minimizer(weighted):
     x, y = sp.erm_x, sp.erm_y
     feats = rbf_features(x, *feature_plan(x))
     w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
-    W = fit_multinomial_logistic(feats, y, 4, sample_weight=w)
+    W = logistic_fit(x, y, 4, w)[2]
     z = feats @ W
     probs = np.exp(z - z.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     grad = feats.T @ ((probs - np.eye(4)[y]) * w[:, None]) / len(y) + REG * W
     assert np.linalg.norm(grad) <= 1e-10
+
+
+@pytest.mark.parametrize("weighting", ("unit", "one_class_zero"))
+@pytest.mark.parametrize("covariates", ("fewer_samples_than_bins",
+                                        "far_outlier"))
+def test_degenerate_covariates_match_the_dense_reference(covariates,
+                                                         weighting):
+    """Covariates that bin badly still give the reference's fit: 70
+    samples, fewer than BINS, and the seed-101000 benchmark ERM split with
+    its largest covariate moved to 1e3, which squeezes the other samples
+    into the lowest bin.  There the binned Hessian preconditions poorly, CG
+    gives up at the first two iterates and they assemble their Hessians."""
+    if covariates == "fewer_samples_than_bins":
+        k = 4
+        y = np.repeat(np.arange(k), 10 + 5 * np.arange(k))
+        x = np.random.default_rng(5).normal(size=len(y)) + 0.3 * y
+        xq = np.linspace(-2.0, 3.0, 50)
+        assert len(x) < BINS
+    else:
+        ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 101000), 8000, 8000)
+        sp = split_alpha(ds, 0.5, seed=101000)
+        k, x, y, xq = 4, sp.erm_x.copy(), sp.erm_y, ds.target_x
+        x[np.argmax(x)] = 1e3
+    w = {"unit": np.ones(k), "one_class_zero": np.r_[np.ones(k - 1), 0.0]}
+    _assert_matches_reference(x, y, k, w[weighting][y], xq)
+
+
+@pytest.mark.parametrize("weighting", ("unit", "one_class_zero"))
+@pytest.mark.parametrize("k", (2, 4))
+def test_zero_range_covariates_reach_the_minimizer(k, weighting):
+    """With every covariate equal the features are all 1, so the loss
+    depends on W through its column sums z = W^T 1 and the minimizer has 33
+    equal rows z / 33, where z minimizes the k-dimensional loss
+    S softmax-CE + REG / 66 ||z||^2.  That z sums to zero, and Newton on
+    the centered z, where the k-dimensional Hessian is well conditioned,
+    gives it to rounding.  The fit's Hessian has condition about 1e5 here,
+    and rounding is amplified: the fit lands at most 4.2e-12 from the
+    minimizer over these cells, and dense_newton_reference up to 9.4e-11,
+    depending on the memory order of its features, so the 1e-12 reference
+    gate cannot hold here."""
+    y = np.repeat(np.arange(k), 10 + 5 * np.arange(k))
+    w = {"unit": np.ones(k), "one_class_zero": np.r_[np.ones(k - 1), 0.0]}[
+        weighting][y]
+    W = logistic_fit(np.full(len(y), 0.7), y, k, w)[2]
+    q = np.bincount(y, weights=w, minlength=k) / len(y)
+    center = np.eye(k) - 1.0 / k
+    z = np.zeros(k)
+    for _ in range(50):
+        probs = softmax(z)
+        grad = q.sum() * probs - q + REG / 33 * z
+        hess = q.sum() * (np.diag(probs) - np.outer(probs, probs)) \
+            + REG / 33 * np.eye(k)
+        z -= center @ np.linalg.lstsq(center @ hess @ center, center @ grad,
+                                      rcond=None)[0]
+    W_min = np.tile(z / 33, (33, 1))
+    assert np.linalg.norm(W - W_min) <= 2e-11 * np.linalg.norm(W_min)
 
 
 @pytest.mark.parametrize("weighting", ("unit", "per_class", "one_class_zero"))
@@ -235,60 +267,150 @@ def test_hessian_product_matches_the_assembled_hessian(k, weighting):
             1e-13 * np.linalg.norm(expected)
 
 
-def _benchmark_erm_fit_inputs():
-    """The six benchmark ERM-split fits: seeds 101000-101002, unit and
-    linspace(0.5, 2, 4) class weights."""
-    for seed in (101000, 101001, 101002):
-        ds = gen_categorical(CategoricalSynthConfig(4, 0.5, seed), 8000, 8000)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_binned_hessian_is_positive_definite(data):
+    """Its Cholesky factorization succeeds for any probabilities, those
+    that underflow to 0 included, any covariates and weights with one class
+    at 0, at k = 2-8."""
+    k = data.draw(st.integers(2, 8))
+    n = data.draw(st.integers(1, 300))
+    x = data.draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
+    logits = data.draw(hnp.arrays(float, (k, n),
+                                  elements=st.floats(-800.0, 800.0)))
+    zero_class = data.draw(st.integers(-1, k - 1))      # -1: none
+    y = np.arange(n) % k
+    w = np.where(y == zero_class, 0.0, 1.0)
+    centers, scale = feature_plan(x)
+    hess = _binned_hessian(x, _covariate_bins(x), w, softmax(logits, axis=0),
+                           centers, scale)
+    assert np.all(np.isfinite(hess))
+    np.linalg.cholesky(hess)
+
+
+def test_one_bin_gives_the_assembled_hessian():
+    """With every covariate equal there is one bin, whose mean is that
+    covariate, and the binned Hessian is the exact one up to rounding."""
+    k, n = 4, 500
+    centers, scale = feature_plan(
+        gen_categorical(CategoricalSynthConfig(k, 0.5, 704), 1500, 1500)
+        .source_x)                  # a plan whose features at x vary
+    x = np.full(n, 0.3)
+    feats = rbf_features(x, centers, scale)
+    bins = _covariate_bins(x)
+    assert not np.any(bins)
+    rng = np.random.default_rng(4)
+    y = np.arange(n) % k
+    for w in (np.ones(n), np.r_[np.ones(k - 1), 0.0][y]):
+        probs = softmax(rng.normal(size=(k, n)), axis=0)
+        exact = _assemble_hessian(feats, w, probs, np.empty_like(feats))
+        binned = _binned_hessian(x, bins, w, probs, centers, scale)
+        assert np.linalg.norm(binned - exact) <= \
+            1e-13 * np.linalg.norm(exact)
+
+
+def _erm_fit_inputs(k, noise_std, n):
+    """The six ERM-split fits of one cell: seeds 101000-101002 at
+    n = m = 8000, seeds 300-302 at any other n; unit and
+    linspace(0.5, 2, k) class weights."""
+    seeds = range(101000, 101003) if n == 8000 else range(300, 303)
+    for seed in seeds:
+        ds = gen_categorical(CategoricalSynthConfig(k, noise_std, seed), n, n)
         sp = split_alpha(ds, 0.5, seed=seed)
         x, y = sp.erm_x, sp.erm_y
-        feats = rbf_features(x, *feature_plan(x))
-        for w in (np.ones(len(y)), np.linspace(0.5, 2.0, 4)[y]):
-            yield feats, y, w
+        for w in (np.ones(len(y)), np.linspace(0.5, 2.0, k)[y]):
+            yield x, y, w
 
 
-def test_benchmark_erm_fits_assemble_at_most_two_hessians(monkeypatch):
-    """A timing-free guard on the fit's cost: an assembly costs about 20x a
-    Hessian product, and each benchmark ERM fit assembles only at its first
-    two iterates (it takes 5-6 Newton steps; 31 over these six fits)."""
-    assemblies = _counting_assemblies(monkeypatch)
-    per_fit = []
-    for feats, y, w in _benchmark_erm_fit_inputs():
-        before = len(assemblies)
-        fit_multinomial_logistic(feats, y, 4, sample_weight=w)
-        per_fit.append(len(assemblies) - before)
-    assert max(per_fit) <= 2
+@pytest.mark.parametrize("point", ("start", "minimizer"))
+def test_binned_hessian_is_close_to_the_exact_one(point):
+    """On the six benchmark ERM fits (k = 4, noise_std 0.5, n = m = 8000),
+    at the default start and at the minimizer, the binned Hessian is within
+    5e-4 of the exact one in spectral norm, relative (at most 2.8e-4 at
+    either point), and the eigenvalues of H_bin^-1 H lie within 3e-2 of 1
+    (at most 1.5e-2 at the start, 1.2e-2 at the minimizer).  So the
+    preconditioned system is nearly the identity, and CG converges to
+    CG_TOL in a few products."""
+    for x, y, w in _erm_fit_inputs(4, 0.5, 8000):
+        centers, scale = feature_plan(x)
+        feats = rbf_features(x, centers, scale)
+        if point == "start":
+            W = _least_squares_start(feats, np.eye(4)[y].T, w,
+                                     np.empty_like(feats))
+        else:
+            W = logistic_fit(x, y, 4, w)[2]
+        probs = softmax(feats @ W, axis=1).T.copy()
+        exact = _assemble_hessian(feats, w, probs, np.empty_like(feats))
+        binned = _binned_hessian(x, _covariate_bins(x), w, probs, centers,
+                                 scale)
+        assert np.linalg.norm(binned - exact, 2) <= \
+            5e-4 * np.linalg.norm(exact, 2)
+        eigs = scipy.linalg.eigh(exact, binned, eigvals_only=True)
+        assert np.abs(eigs - 1.0).max() <= 3e-2
+
+
+# Hessian products summed over the six fits of each (k, noise_std, n)
+# cell from the default start: the cells of STEPS_UNDER_THE_FORMER_RIDGE
+# (the (4, 0.5) one is the six benchmark ERM fits) and the noise_std 0.1
+# cell of test_hard_erm_fits_match_the_dense_reference.  No fit assembles a
+# Hessian.  When the first two iterates assembled theirs (two assemblies a
+# fit, each about 15x the cost of a product at k = 4), the cells took 35,
+# 114, 120, 246, 364, 398, 279, 100 and 368 products.
+HESSIAN_PRODUCTS = {
+    (2, 0.5, 8000): 77, (3, 0.5, 8000): 161, (4, 0.5, 8000): 167,
+    (6, 0.5, 8000): 292, (8, 0.5, 8000): 412, (4, 0.1, 8000): 417,
+    (4, 0.1, 4000): 451, (4, 0.3, 4000): 323, (4, 1.0, 4000): 144}
+
+
+@pytest.mark.parametrize("k, noise_std, n", sorted(HESSIAN_PRODUCTS))
+def test_fits_assemble_no_hessian_within_the_product_budget(monkeypatch, k,
+                                                            noise_std, n):
+    """A timing-free guard on the fit's cost: no fit of the cell assembles
+    a Hessian, and the cell's Hessian products stay at or below its count.
+    A weaker preconditioner fails here, not only in the benchmark."""
+    assemblies = _counting_calls(monkeypatch, "_assemble_hessian")
+    products = _counting_calls(monkeypatch, "_hessian_product")
+    for x, y, w in _erm_fit_inputs(k, noise_std, n):
+        logistic_fit(x, y, k, w)
+    assert len(assemblies) == 0
+    assert len(products) <= HESSIAN_PRODUCTS[k, noise_std, n]
 
 
 def test_cg_fallback_reproduces_the_assembled_newton_fit(monkeypatch):
-    """With the CG cap at 0 every later iterate falls back to assembling its
-    Hessian, and W is bit for bit the W of the fit that assembles at every
-    iterate, as the fit did before its CG steps."""
-    for feats, y, w in _benchmark_erm_fit_inputs():
-        monkeypatch.setattr(predictors, "HESSIAN_ASSEMBLIES", NEWTON_MAX_STEPS)
-        W_assembled = fit_multinomial_logistic(feats, y, 4, sample_weight=w)
+    """With the CG cap at 0 every iterate falls back to assembling its
+    Hessian, and W is bit for bit the W of the exact Newton fit, whose
+    every direction is solved from an assembled Hessian."""
+    real_direction = predictors._newton_direction
+    for x, y, w in _erm_fit_inputs(4, 0.5, 8000):
+        monkeypatch.setattr(
+            predictors, "_newton_direction",
+            lambda grad, assemble, product, precond:
+                real_direction(grad, assemble, product, None))
+        W_assembled = logistic_fit(x, y, 4, w)[2]
         monkeypatch.undo()
         monkeypatch.setattr(predictors, "CG_MAX_ITER", 0)
         steps = _counting_directions(monkeypatch)
-        assemblies = _counting_assemblies(monkeypatch)
-        W_fallback = fit_multinomial_logistic(feats, y, 4, sample_weight=w)
+        assemblies = _counting_calls(monkeypatch, "_assemble_hessian")
+        W_fallback = logistic_fit(x, y, 4, w)[2]
         monkeypatch.undo()
         assert len(assemblies) == len(steps) > HESSIAN_ASSEMBLIES
         np.testing.assert_array_equal(W_fallback, W_assembled)
 
 
-@pytest.mark.parametrize("fault, message", (
-    (np.negative, "Cholesky"), (lambda a: a * np.nan, "NaN or inf")))
+FAULTS = ((np.negative, "Cholesky"), (lambda a: a * np.nan, "NaN or inf"))
+
+
+@pytest.mark.parametrize("fault, message", FAULTS)
 def test_a_bad_hessian_at_a_cg_iterate_raises(monkeypatch, fault, message):
-    """Products whose curvature is negative, or NaN, make CG give up; the
-    iterate then assembles its Hessian, and one that is not positive
-    definite, or not finite, raises IllConditioned from _safe_spd_solve."""
+    """Products whose curvature is negative, or NaN, make CG give up at the
+    first iterate; it then assembles its Hessian, and one that is not
+    positive definite, or not finite, raises IllConditioned from
+    _safe_spd_solve."""
     assemblies, products = [], []
 
     def assemble(*args):
         assemblies.append(None)
-        hess = _assemble_hessian(*args)
-        return hess if len(assemblies) <= HESSIAN_ASSEMBLIES else fault(hess)
+        return fault(_assemble_hessian(*args))
 
     def product(*args):
         products.append(None)
@@ -297,11 +419,25 @@ def test_a_bad_hessian_at_a_cg_iterate_raises(monkeypatch, fault, message):
     monkeypatch.setattr(predictors, "_hessian_product", product)
     monkeypatch.setattr(predictors, "_assemble_hessian", assemble)
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 704), 1500, 1500)
-    x, y = ds.source_x, ds.source_y
-    feats = rbf_features(x, *feature_plan(x))
     with pytest.raises(IllConditioned, match=message):
-        fit_multinomial_logistic(feats, y, 4, start=np.zeros((33, 4)))
-    assert len(assemblies) == HESSIAN_ASSEMBLIES + 1 and len(products) == 1
+        logistic_fit(ds.source_x, ds.source_y, 4, start=np.zeros((33, 4)))
+    assert len(assemblies) == 1 and len(products) == 1
+
+
+@pytest.mark.parametrize("fault", [fault for fault, _ in FAULTS])
+def test_a_bad_binned_hessian_falls_back_to_assembly(monkeypatch, fault):
+    """A binned Hessian that is not positive definite, or not finite,
+    preconditions nothing: its two iterates assemble their Hessians, the
+    later ones are preconditioned by the inverse of the last of them, and
+    the fit still matches the dense reference."""
+    real_binned = predictors._binned_hessian
+    monkeypatch.setattr(predictors, "_binned_hessian",
+                        lambda *args: fault(real_binned(*args)))
+    assemblies = _counting_calls(monkeypatch, "_assemble_hessian")
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 704), 1500, 1500)
+    _assert_matches_reference(ds.source_x, ds.source_y, 4,
+                              np.ones(len(ds.source_y)), ds.target_x)
+    assert len(assemblies) == HESSIAN_ASSEMBLIES
 
 
 def test_fit_raises_instead_of_returning_a_capped_iterate(monkeypatch):
@@ -363,23 +499,23 @@ def test_line_search_halves_from_a_far_start(monkeypatch):
             else scale_up * rng.standard_normal((feats.shape[1], 4))
         losses.clear()
         decrements.clear()
-        W = fit_multinomial_logistic(feats, y, 4, sample_weight=w, start=start)
+        W = logistic_fit(x, y, 4, w, start=start)[2]
         assert (len(losses), len(decrements)) == counts, scale_up
         assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
 
 
-def _counting_assemblies(monkeypatch):
-    """Wraps _assemble_hessian; returns the list it appends one entry to
-    per Hessian assembled."""
-    assemblies = []
-    real_assemble = predictors._assemble_hessian
+def _counting_calls(monkeypatch, name):
+    """Wraps the predictors function name (such as _assemble_hessian or
+    _hessian_product); returns the list it appends one entry to per call."""
+    calls = []
+    real = getattr(predictors, name)
 
-    def assemble(*args):
-        assemblies.append(None)
-        return real_assemble(*args)
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
 
-    monkeypatch.setattr(predictors, "_assemble_hessian", assemble)
-    return assemblies
+    monkeypatch.setattr(predictors, name, counted)
+    return calls
 
 
 def _erm_steps(monkeypatch, seed, start, **config):
@@ -449,7 +585,7 @@ def test_least_squares_start_lands_near_the_minimizer(monkeypatch):
     sp = split_alpha(ds, 0.5, seed=101000)
     x, y = sp.erm_x, sp.erm_y
     decrements = _counting_directions(monkeypatch)
-    fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 4)
+    logistic_fit(x, y, 4)
     assert decrements[0] < 1.0
 
 
@@ -476,9 +612,8 @@ def test_default_start_steps_do_not_rise(monkeypatch, k, noise_std):
         ds = gen_categorical(CategoricalSynthConfig(k, noise_std, seed), n, n)
         sp = split_alpha(ds, 0.5, seed=seed)
         x, y = sp.erm_x, sp.erm_y
-        feats = rbf_features(x, *feature_plan(x))
         for w in (np.ones(len(y)), np.linspace(0.5, 2.0, k)[y]):
-            fit_multinomial_logistic(feats, y, k, sample_weight=w)
+            logistic_fit(x, y, k, w)
     assert len(decrements) <= STEPS_UNDER_THE_FORMER_RIDGE[k, noise_std]
 
 

@@ -9,8 +9,8 @@ from shiftweight import (CategoricalSynthConfig, RegressionSynthConfig,
                          split_alpha, train_simplex, weighted_erm)
 from shiftweight import predictors
 from shiftweight.predictors import (GramFactor, feature_plan,
-                                    fit_multinomial_logistic,
-                                    gaussian_pivoted_cholesky, rbf_features)
+                                    gaussian_pivoted_cholesky, logistic_fit,
+                                    rbf_features)
 
 
 def _blobs(rng, k, per_class, spread=0.05, gap=10.0):
@@ -93,13 +93,13 @@ def test_statistic_and_erm_share_one_logistic_fit(k):
         feats = rbf_features(x, centers, scale)
         feats_q = rbf_features(xq, centers, scale)
 
-        z = feats_q @ fit_multinomial_logistic(feats, y, k)
+        z = feats_q @ logistic_fit(x, y, k)[2]
         ez = np.exp(z - z.max(axis=1, keepdims=True))
         np.testing.assert_array_equal(train_simplex((x, y), k)(xq),
                                       ez / ez.sum(axis=1, keepdims=True))
 
         for omega in (np.ones(k), np.linspace(0.5, 2.0, k)):
-            W = fit_multinomial_logistic(feats, y, k, sample_weight=omega[y])
+            W = logistic_fit(x, y, k, omega[y])[2]
             fit = weighted_erm((x, y), omega, "logistic", k=k)
             np.testing.assert_array_equal(fit.model.predict(xq),
                                           np.argmax(feats_q @ W, axis=1))
@@ -223,7 +223,7 @@ def test_statistic_fn_metadata():
     assert g.mode == "Simplex" and g.output_dim == 4
     assert h.mode == "HyperCube" and h.output_dim == 4 and h.coef is None
     np.testing.assert_array_equal(
-        g.coef, fit_multinomial_logistic(rbf_features(x, *feature_plan(x)), y, 4))
+        g.coef, logistic_fit(x, y, 4)[2])
     # u.coef is the Gram factor of u's training covariates, bit for bit, in
     # owned arrays: not a view of the factor's wider column buffer
     x2 = np.linspace(0, 1, 12)
