@@ -133,14 +133,15 @@ C = 16
 NEWTON_TOL = 1e-14          # stop once the Newton decrement is at most this
 NEWTON_MAX_STEPS = 50
 # Every Newton direction comes from conjugate gradients on exact Hessian
-# products, until the residual is at most CG_TOL times the gradient,
-# preconditioned by the inverse of the binned Hessian: the samples pooled
-# into BINS equal-width covariate bins (_binned_hessian).  It is refreshed
-# at the first HESSIAN_ASSEMBLIES iterates; later ones keep the last.  CG
-# that meets non-positive curvature or runs CG_MAX_ITER iterations, or a
-# binned Hessian that is not finite or not positive definite, assembles
-# that iterate's exact Hessian instead, and its inverse preconditions the
-# later iterates.  Fit time against two exact assemblies (at iterates 0-1,
+# products, preconditioned by the inverse of the binned Hessian: the
+# samples pooled into BINS equal-width covariate bins (_binned_hessian).
+# It is refreshed at the first HESSIAN_ASSEMBLIES iterates; later ones
+# keep the last.  CG that meets non-positive curvature or runs
+# CG_MAX_ITER iterations, or a binned Hessian that is not finite or not
+# positive definite, assembles that iterate's exact Hessian instead, and
+# its inverse preconditions the later iterates.  The bins and the refresh
+# policy were chosen with a binned Hessian on all k p coordinates and CG
+# run to CG_TOL: fit time against two exact assemblies (at iterates 0-1,
 # CG after them) on the six benchmark ERM-split fits (seeds
 # 101000-101002, unit and linspace(0.5, 2, 4) weights, n = 4000, k = 4;
 # median and quartiles of 15 alternating in-process pairs, 1 BLAS thread),
@@ -159,12 +160,48 @@ NEWTON_MAX_STEPS = 50
 #
 # 96-256 bins are alike within the pairs' spread.  Two exact assemblies
 # took 20.0 products a fit.  No variant assembled, and each left W within
-# 1.4e-14 relative of the two-assembly fit.  A binned
-# Hessian takes about 0.5 ms and its inverse 0.95 ms, an exact assembly
-# 2.7 ms and a product 0.14 ms.
+# 1.4e-14 relative of the two-assembly fit.
+#
+# The fit stays on the class-sum-zero subspace (logistic_fit), so the
+# binned Hessian is built and inverted there, (k - 1) p square: at k = 4
+# and n = 4000 it takes about 0.58 ms and its inverse 0.71 ms, against
+# 0.66 ms and 1.28 ms on all k p coordinates in the same timeit run
+# (1 BLAS thread); an exact assembly takes about 4.1 ms and a product
+# 0.17 ms.  Run to CG_TOL, CG takes the
+# products it took with the binned Hessian on all k p coordinates, to
+# within one per cell (the CG_TOL column below).
+#
+# CG stops once its residual is at most eta ||g||, with the forcing term
+# eta = max(CG_TOL, min(CG_FORCING, ||g||)) and ||g|| the norm of the
+# gradient it solves for, in the units of the n-normalized loss (inexact
+# Newton: Dembo, Eisenstat & Steihaug 1982).  Far from the minimizer a
+# loose direction costs no extra Newton step; near it eta falls to
+# CG_TOL.  Hessian products summed over the six ERM-split fits of each
+# (k, noise_std, n) cell of the tests' product budget (HESSIAN_PRODUCTS),
+# and the Newton steps of the weighted k = 4 fit (n = 2000, seed 0) from
+# its default start and two far starts (test_line_search_halves_from_a_
+# far_start), by CG_FORCING:
+#
+#   cell                 CG_TOL    1e-3     0.5
+#   2, 0.5, 8000            77      59      59
+#   3, 0.5, 8000           161     115     113
+#   4, 0.5, 8000           167     122     122   (the benchmark fits)
+#   6, 0.5, 8000           293     192     186
+#   8, 0.5, 8000           412     265     253
+#   4, 0.1, 8000           417     290     287
+#   4, 0.1, 4000           451     311     305
+#   4, 0.3, 4000           323     233     228
+#   4, 1.0, 4000           144     109     109
+#   far starts, steps   6/14/14 6/14/14 6/16/16
+#
+# The Newton steps of the nine cells are the same in every row (24, 32,
+# 31, 36, 41, 41, 42, 39 and 30), and the benchmark fits end within
+# 3.9e-13 relative of dense_newton_reference in every row.  A cap of 0.5
+# saves up to 5% more products but costs the far starts two Newton steps.
 HESSIAN_ASSEMBLIES = 2
 BINS = 128
 CG_TOL = 1e-8
+CG_FORCING = 1e-3
 CG_MAX_ITER = 20
 
 
@@ -188,35 +225,50 @@ def _least_squares_start(feats, onehot, w, g):
     return _safe_spd_solve(gram, ((logp * sw) @ g).T)
 
 
-def _pair_blocks(k, p, pair_gram):
-    """The (k p, k p) Hessian of the weighted logistic loss, class-major
-    like the flattened (k, p) gradient, from pair_gram(a, b), the p x p
-    Gram F^T diag(w p_a p_b / n) F of the class pair a < b (or an
-    approximation of it).  Block (a, b) couples W[:, a] and W[:, b]: off the
-    diagonal it is minus that Gram; the probabilities sum to one, so each
-    diagonal block is minus the sum of the others in its block row.  The
-    result is a sum of (e_a - e_b)(e_a - e_b)^T kron Gram terms plus REG I."""
-    hess = np.zeros((k, p, k, p))
-    for a in range(k):
-        for b in range(a + 1, k):
-            gram = pair_gram(a, b)
-            hess[a, :, b] = hess[b, :, a] = -gram
-            hess[a, :, a] += gram
-            hess[b, :, b] += gram
-    return hess.reshape(k * p, k * p) + REG * np.eye(k * p)
+def _class_basis(k):
+    """The (k, k - 1) Helmert basis U of the class vectors that sum to zero:
+    orthonormal columns, each orthogonal to the ones vector.  Column j - 1
+    is (1, ..., 1, -j, 0, ..., 0) / sqrt(j (j + 1)), with j ones."""
+    j = np.arange(1, k)
+    basis = np.triu(np.ones((k, k - 1)))
+    basis[j, j - 1] = -j
+    return basis / np.sqrt(j * (j + 1))
+
+
+def _pair_blocks(basis, grams):
+    """The Hessian of the weighted logistic loss on the class coordinates
+    of basis, a (k, r) matrix with orthonormal columns, from grams, the
+    p x p Grams F^T diag(w p_a p_b / n) F of the class pairs a < b in
+    np.triu_indices order (or approximations of them):
+    sum over pairs of (u u^T) kron Gram, u = basis[a] - basis[b], plus
+    REG I, an (r p, r p) matrix ordered like the flattened (r, p)
+    coordinates.  The identity basis gives the (k p, k p) Hessian, whose
+    block (a, b) is minus the pair's Gram off the diagonal; the
+    probabilities sum to one, so each diagonal block is minus the sum of
+    the others in its block row.  It is positive definite by construction."""
+    k, r = basis.shape
+    p = grams.shape[-1]
+    a, b = np.triu_indices(k, 1)
+    u = basis[a] - basis[b]
+    outer = (u[:, :, None] * u[:, None, :]).reshape(len(u), r * r)
+    hess = (outer.T @ grams.reshape(len(u), p * p)).reshape(r, r, p, p)
+    hess = hess.transpose(0, 2, 1, 3).reshape(r * p, r * p)
+    hess.flat[::r * p + 1] += REG
+    return hess
 
 
 def _assemble_hessian(feats, w, probs, g):
-    """The exact Hessian at the (k, n) probabilities: one n x p scaling and
-    Gram per class pair.  g is an n x p scratch in the order of feats."""
+    """The exact (k p, k p) Hessian at the (k, n) probabilities: one n x p
+    scaling and Gram per class pair.  g is an n x p scratch in the order of
+    feats."""
     n, p = feats.shape
-
-    def pair_gram(a, b):
+    k = len(probs)
+    grams = np.empty((k * (k - 1) // 2, p, p))
+    for q, (a, b) in enumerate(zip(*np.triu_indices(k, 1))):
         np.multiply(feats, np.sqrt(w * probs[a] * probs[b] / n)[:, None],
                     out=g)
-        return g.T @ g
-
-    return _pair_blocks(len(probs), p, pair_gram)
+        grams[q] = g.T @ g
+    return _pair_blocks(np.eye(k), grams)
 
 
 def _covariate_bins(x):
@@ -228,26 +280,38 @@ def _covariate_bins(x):
     return np.minimum(((x - lo) / width * BINS).astype(np.intp), BINS - 1)
 
 
-def _binned_hessian(x, bins, w, probs, centers, scale):
-    """The Hessian at the (k, n) probabilities with the samples pooled into
-    their covariate bins: for each class pair, a bin's weight
-    c = sum w p_a p_b / n sits at the bin's c-weighted mean covariate, so
-    the pair's Gram is taken over at most BINS feature rows instead of n.
-    Like the exact Hessian it is positive definite by construction (a sum of
-    (e_a - e_b)(e_a - e_b)^T kron Gram terms plus REG I).  The features vary
-    on the feature plan's length scale, about five bin widths on the
-    benchmark splits, so it is close to the exact one."""
-    n = len(x)
+def _pair_bin_keys(bins, k):
+    """The key pair * BINS + bin of each class pair a < b (np.triu_indices
+    order) and sample, (k (k - 1) / 2, n): the pair x bin cells that
+    _binned_hessian pools the samples into.  Fixed for a fit."""
+    return np.arange(k * (k - 1) // 2)[:, None] * BINS + bins
 
-    def pair_gram(a, b):
-        c = w * probs[a] * probs[b] / n
-        mass = np.bincount(bins, weights=c)
-        held = mass > 0
-        mean = np.bincount(bins, weights=c * x)[held] / mass[held]
-        g = rbf_features(mean, centers, scale) * np.sqrt(mass[held])[:, None]
-        return g.T @ g
 
-    return _pair_blocks(len(probs), len(centers) + 1, pair_gram)
+def _binned_hessian(x, keys, w, probs, centers, scale):
+    """The Hessian at the (k, n) probabilities on the class-sum-zero
+    subspace, (U kron I)^T H (U kron I) for the basis U = _class_basis(k),
+    with the samples pooled into their covariate bins: for each class pair,
+    a bin's weight c = sum w p_a p_b / n sits at the bin's c-weighted mean
+    covariate, so the pair's Gram is taken over BINS feature rows instead
+    of n.  keys (_pair_bin_keys) pools every pair in one np.bincount pass.
+    Like the exact Hessian it is positive definite by construction
+    (_pair_blocks).  The features vary on the feature plan's length scale,
+    about five bin widths on the benchmark splits, so it is close to the
+    exact one."""
+    k = len(probs)
+    a, b = np.triu_indices(k, 1)
+    cells = len(a) * BINS
+    c = np.empty((len(a), len(x)))
+    for q in range(len(a)):
+        np.multiply(probs[a[q]], probs[b[q]], out=c[q])
+    c *= w / len(x)
+    mass = np.bincount(keys.reshape(-1), c.reshape(-1), minlength=cells)
+    c *= x
+    mean = np.bincount(keys.reshape(-1), c.reshape(-1), minlength=cells) \
+        / np.where(mass > 0, mass, 1.0)         # an empty bin has mass 0
+    g = rbf_features(mean, centers, scale).T * np.sqrt(mass)   # (p, cells)
+    g = g.reshape(len(centers) + 1, len(a), BINS).transpose(1, 0, 2)
+    return _pair_blocks(_class_basis(k), g @ g.transpose(0, 2, 1))
 
 
 def _spd_inverse(a):
@@ -277,14 +341,16 @@ def _hessian_product(feats, w, probs, V):
 
 def _conjugate_gradients(product, b, precond):
     """Solves H x = b for the (k, p) right-hand side b by conjugate
-    gradients on the products product(V) = H V, preconditioned by the
-    (k p, k p) matrix precond ~ H^-1.  Returns x once the residual is at
-    most CG_TOL ||b||, or None when a direction has curvature that is not
-    positive (NaN included) or CG_MAX_ITER iterations do not converge."""
+    gradients on the products product(V) = H V, preconditioned by
+    precond(r) ~ H^-1 r.  Returns x once the residual is at most
+    eta ||b||, with the forcing term eta = max(CG_TOL, min(CG_FORCING,
+    ||b||)), or None when a direction has curvature that is not positive
+    (NaN included) or CG_MAX_ITER iterations do not converge."""
     x = np.zeros_like(b)
     r = b.copy()
-    goal = CG_TOL * np.linalg.norm(b)
-    z = (precond @ r.reshape(-1)).reshape(b.shape)
+    norm_b = float(np.linalg.norm(b))
+    goal = max(CG_TOL, min(CG_FORCING, norm_b)) * norm_b
+    z = precond(r)
     d = z
     rz = float(np.sum(r * z))
     for _ in range(CG_MAX_ITER):
@@ -297,7 +363,7 @@ def _conjugate_gradients(product, b, precond):
         r -= alpha * hd
         if np.linalg.norm(r) <= goal:
             return x
-        z = (precond @ r.reshape(-1)).reshape(b.shape)
+        z = precond(r)
         rz_next = float(np.sum(r * z))
         d = z + (rz_next / rz) * d
         rz = rz_next
@@ -306,8 +372,8 @@ def _conjugate_gradients(product, b, precond):
 
 def _newton_direction(grad, assemble, product, precond):
     """The Newton direction H^-1 grad for the (k, p) gradient, and the
-    Hessian assembled for it (None when none was).  With precond, the
-    inverse of a binned or an earlier assembled Hessian, by
+    Hessian assembled for it (None when none was).  With precond, which
+    applies the inverse of a binned or an earlier assembled Hessian, by
     _conjugate_gradients on the exact products product(V) = H V.  Without
     it, or when CG gives up, from assemble()'s Hessian by _safe_spd_solve,
     which raises IllConditioned on a Hessian that is non-finite or not
@@ -342,10 +408,13 @@ def logistic_fit(x, y, k, w=None, start=None):
     an earlier fit on the same x (when None, the least-squares logits of
     _least_squares_start; pass zeros to start there): each step is halved
     until the loss drops by a quarter of the decrement g^T H^-1 g.  The
-    direction H^-1 g comes from _newton_direction: conjugate gradients on
-    exact Hessian products, preconditioned by the inverse of the binned
-    Hessian (_binned_hessian), refreshed at the first HESSIAN_ASSEMBLIES
-    iterates.  The fit stops once that decrement is at most NEWTON_TOL, or
+    start, each gradient and each direction are centered across classes,
+    so the iterates stay where the minimizer is, on the subspace where the
+    class columns of W sum to zero.  The direction H^-1 g comes from
+    _newton_direction: conjugate gradients on exact Hessian products, to
+    a forcing term (_conjugate_gradients), preconditioned by the inverse of
+    the binned Hessian on that subspace (_binned_hessian), refreshed at the
+    first HESSIAN_ASSEMBLIES iterates.  The fit stops once that decrement is at most NEWTON_TOL, or
     once the point the halving accepts is W itself, bit for bit: then no
     representable step along the Newton direction lowers the loss.  The
     loss is strongly convex, so its minimizer does not depend on start.
@@ -355,7 +424,6 @@ def logistic_fit(x, y, k, w=None, start=None):
     x = np.asarray(x, dtype=float).reshape(-1)
     centers, scale = feature_plan(x)
     feats = rbf_features(x, centers, scale)
-    bins = _covariate_bins(x)
     n, p = feats.shape
     y = class_labels(y, k)
     if y.shape != (n,):
@@ -371,6 +439,7 @@ def logistic_fit(x, y, k, w=None, start=None):
         if W.shape != (p, k):
             raise DataError(f"start has shape {W.shape}, expected ({p}, {k})")
         require_finite(start=W)
+    keys = _pair_bin_keys(_covariate_bins(x), k)
     # Logits, probabilities and one-hot are class-major, (k, n): each class
     # pass reads one contiguous row.
     onehot = np.zeros((k, n))
@@ -382,6 +451,23 @@ def logistic_fit(x, y, k, w=None, start=None):
     g = np.empty_like(feats)
     if start is None:
         W = _least_squares_start(feats, onehot, w, g)
+    # The softmax ignores a shift common to all classes and the ridge
+    # penalizes it, so the minimizer's class columns sum to zero.  The fit
+    # stays on that subspace: the start, every gradient and every Newton
+    # direction are centered across classes, and the preconditioner acts
+    # on the coordinates in the class basis U.  A solve with an assembled
+    # Hessian, which acts on the class-common part only by REG, scales the
+    # rounding there by 1 / REG, so the directions are centered too.
+    W -= W.mean(axis=1, keepdims=True)
+    basis = _class_basis(k)
+
+    def preconditioner(inverse):
+        """r -> U inverse U^T r on (k, p) residuals r, for the inverse of a
+        Hessian on the (k - 1, p) coordinates; None for None."""
+        if inverse is None:
+            return None
+        return lambda r: basis @ (inverse @ (basis.T @ r).reshape(-1)) \
+            .reshape(k - 1, p)
 
     def state(W):
         """Loss at W and the softmax probabilities, from one pass over the logits."""
@@ -396,16 +482,21 @@ def logistic_fit(x, y, k, w=None, start=None):
     hess = precond = None
     for it in range(NEWTON_MAX_STEPS):
         grad = ((probs - onehot) * w) @ feats / n + REG * W.T     # (k, p)
+        grad -= grad.mean(axis=0)
         if it < HESSIAN_ASSEMBLIES:
-            precond = _spd_inverse(
-                _binned_hessian(x, bins, w, probs, centers, scale))
+            precond = preconditioner(_spd_inverse(
+                _binned_hessian(x, keys, w, probs, centers, scale)))
         elif precond is None:
-            precond = np.linalg.inv(hess)   # hess passed the Cholesky check
+            # hess passed the Cholesky check; its restriction to the
+            # subspace, (U kron I)^T H (U kron I), is inverted there
+            lift = np.kron(basis, np.eye(p))
+            precond = preconditioner(np.linalg.inv(lift.T @ hess @ lift))
         step, assembled = _newton_direction(
             grad, lambda: _assemble_hessian(feats, w, probs, g),
             lambda V: _hessian_product(feats, w, probs, V), precond)
         if assembled is not None:
             hess, precond = assembled, None
+        step -= step.mean(axis=0)
         step = step.T
         dec = float(np.sum(grad.T * step))
         if dec <= NEWTON_TOL:

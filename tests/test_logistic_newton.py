@@ -3,9 +3,10 @@ logistic ERM: convergence to the minimizer, agreement with a dense Newton
 reference from the default least-squares start and from a warm start and on
 degenerate covariates, typed failures at the cap and on bad labels, weights
 or starts, the runner's prior-shifted ERM start, the Newton steps each start
-takes, and the preconditioned conjugate-gradient directions: exact Hessian
-products, the binned Hessian that preconditions them, the fallback to an
-assembled Hessian, and the assemblies and products each fit makes."""
+takes, the class-sum-zero subspace the fit stays on, and the preconditioned
+conjugate-gradient directions: exact Hessian products, the binned Hessian on
+that subspace that preconditions them, the fallback to an assembled Hessian,
+and the assemblies and products each fit makes."""
 
 import warnings
 
@@ -24,8 +25,9 @@ from shiftweight import experiments, predictors
 from shiftweight.predictors import (BINS, HESSIAN_ASSEMBLIES,
                                     NEWTON_MAX_STEPS, NEWTON_TOL, REG,
                                     _assemble_hessian, _binned_hessian,
-                                    _covariate_bins, _hessian_product,
-                                    _least_squares_start, _safe_spd_solve,
+                                    _class_basis, _covariate_bins,
+                                    _hessian_product, _least_squares_start,
+                                    _pair_bin_keys, _safe_spd_solve,
                                     feature_plan, logistic_fit, rbf_features)
 
 
@@ -95,6 +97,54 @@ def test_benchmark_erm_fits_match_the_dense_reference(seed, weighted):
     x, y = sp.erm_x, sp.erm_y
     w = np.linspace(0.5, 2.0, 4)[y] if weighted else np.ones(len(y))
     _assert_matches_reference(x, y, 4, w, ds.target_x)
+
+
+@pytest.mark.parametrize("seed", (101000, 101001, 101002))
+def test_one_class_zero_erm_fits_match_the_dense_reference(seed):
+    """k = 2 with class 1 weighted 0, on the ERM splits at n = m = 8000.
+    The fit lands 8.4e-15 to 1.4e-14 from the reference; before the fit
+    was centered across classes it landed 2.4e-12 to 2.7e-12 away."""
+    ds = gen_categorical(CategoricalSynthConfig(2, 0.5, seed), 8000, 8000)
+    sp = split_alpha(ds, 0.5, seed=seed)
+    x, y = sp.erm_x, sp.erm_y
+    _assert_matches_reference(x, y, 2, np.array([1.0, 0.0])[y], ds.target_x)
+
+
+@pytest.mark.parametrize("k", (2, 4, 8))
+def test_fitted_class_columns_sum_to_zero(k):
+    """The softmax ignores a shift common to all classes and the ridge
+    penalizes it, so the minimizer's class columns sum to zero, and the fit
+    keeps its iterates there.  On the six ERM fits of the k cell
+    (noise_std 0.5, n = m = 8000) ||W 1|| / ||W|| is at most 4.0e-16;
+    before the fit was centered it was 6.7e-15 to 2.8e-14."""
+    for x, y, w in _erm_fit_inputs(k, 0.5, 8000):
+        W = logistic_fit(x, y, k, w)[2]
+        assert np.linalg.norm(W.sum(axis=1)) <= 2e-15 * np.linalg.norm(W)
+
+
+def test_far_started_fits_keep_class_columns_summing_to_zero():
+    """From the far starts of test_line_search_halves_from_a_far_start, CG
+    gives up at some iterates (2 and 4 assemblies), and the exact Hessian
+    acts on the class-common part only by REG, so its solve scales the
+    rounding there by 1 / REG.  Each direction is centered, so
+    ||W 1|| / ||W|| stays at most 1.4e-15; uncentered directions left
+    4.4e-13 to 5.6e-13."""
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 0), 2000, 2000)
+    x, y = ds.source_x, ds.source_y
+    rng = np.random.default_rng(0)
+    for scale_up in (3.0, 10.0):
+        W = logistic_fit(x, y, 4, np.linspace(0.5, 2.0, 4)[y],
+                         start=scale_up * rng.standard_normal((33, 4)))[2]
+        assert np.linalg.norm(W.sum(axis=1)) <= 1e-14 * np.linalg.norm(W)
+
+
+def test_class_basis_is_orthonormal_and_sums_to_zero():
+    for k in range(2, 9):
+        basis = _class_basis(k)
+        assert basis.shape == (k, k - 1)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(k - 1),
+                                   atol=1e-15)
+        np.testing.assert_allclose(basis.sum(axis=0), 0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("weighted", (False, True))
@@ -222,10 +272,12 @@ def test_zero_range_covariates_reach_the_minimizer(k, weighting):
     S softmax-CE + REG / 66 ||z||^2.  That z sums to zero, and Newton on
     the centered z, where the k-dimensional Hessian is well conditioned,
     gives it to rounding.  The fit's Hessian has condition about 1e5 here,
-    and rounding is amplified: the fit lands at most 4.2e-12 from the
-    minimizer over these cells, and dense_newton_reference up to 9.4e-11,
-    depending on the memory order of its features, so the 1e-12 reference
-    gate cannot hold here."""
+    and rounding is amplified: dense_newton_reference lands up to 9.4e-11
+    from the minimizer, depending on the memory order of its features, so
+    the 1e-12 reference gate cannot hold here.  The fit, centered across
+    classes, lands at most 9.8e-16 from it with unit weights.  With one
+    class weighted 0 it lands 1.4e-13 (k = 2) and 3.5e-12 (k = 4) away,
+    where its stopping rule ends it short of the rounding floor."""
     y = np.repeat(np.arange(k), 10 + 5 * np.arange(k))
     w = {"unit": np.ones(k), "one_class_zero": np.r_[np.ones(k - 1), 0.0]}[
         weighting][y]
@@ -241,7 +293,8 @@ def test_zero_range_covariates_reach_the_minimizer(k, weighting):
         z -= center @ np.linalg.lstsq(center @ hess @ center, center @ grad,
                                       rcond=None)[0]
     W_min = np.tile(z / 33, (33, 1))
-    assert np.linalg.norm(W - W_min) <= 2e-11 * np.linalg.norm(W_min)
+    bound = 4e-15 if weighting == "unit" else 2e-11
+    assert np.linalg.norm(W - W_min) <= bound * np.linalg.norm(W_min)
 
 
 @pytest.mark.parametrize("weighting", ("unit", "per_class", "one_class_zero"))
@@ -267,12 +320,25 @@ def test_hessian_product_matches_the_assembled_hessian(k, weighting):
             1e-13 * np.linalg.norm(expected)
 
 
+def _on_the_subspace(hess, k):
+    """The (k p, k p) Hessian restricted to the class-sum-zero subspace,
+    (U kron I)^T H (U kron I) for the class basis U, where the binned
+    Hessian lives."""
+    lift = np.kron(_class_basis(k), np.eye(len(hess) // k))
+    return lift.T @ hess @ lift
+
+
+def _binned(x, w, probs, centers, scale):
+    return _binned_hessian(x, _pair_bin_keys(_covariate_bins(x), len(probs)),
+                           w, probs, centers, scale)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_binned_hessian_is_positive_definite(data):
     """Its Cholesky factorization succeeds for any probabilities, those
     that underflow to 0 included, any covariates and weights with one class
-    at 0, at k = 2-8."""
+    at 0, at k = 2-8.  It is (k - 1) p square, on the subspace."""
     k = data.draw(st.integers(2, 8))
     n = data.draw(st.integers(1, 300))
     x = data.draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
@@ -282,15 +348,16 @@ def test_binned_hessian_is_positive_definite(data):
     y = np.arange(n) % k
     w = np.where(y == zero_class, 0.0, 1.0)
     centers, scale = feature_plan(x)
-    hess = _binned_hessian(x, _covariate_bins(x), w, softmax(logits, axis=0),
-                           centers, scale)
+    hess = _binned(x, w, softmax(logits, axis=0), centers, scale)
+    assert hess.shape == ((k - 1) * (len(centers) + 1),) * 2
     assert np.all(np.isfinite(hess))
     np.linalg.cholesky(hess)
 
 
 def test_one_bin_gives_the_assembled_hessian():
     """With every covariate equal there is one bin, whose mean is that
-    covariate, and the binned Hessian is the exact one up to rounding."""
+    covariate, and the binned Hessian is the exact one on the subspace up
+    to rounding (at most 8.6e-16 relative)."""
     k, n = 4, 500
     centers, scale = feature_plan(
         gen_categorical(CategoricalSynthConfig(k, 0.5, 704), 1500, 1500)
@@ -303,8 +370,9 @@ def test_one_bin_gives_the_assembled_hessian():
     y = np.arange(n) % k
     for w in (np.ones(n), np.r_[np.ones(k - 1), 0.0][y]):
         probs = softmax(rng.normal(size=(k, n)), axis=0)
-        exact = _assemble_hessian(feats, w, probs, np.empty_like(feats))
-        binned = _binned_hessian(x, bins, w, probs, centers, scale)
+        exact = _on_the_subspace(
+            _assemble_hessian(feats, w, probs, np.empty_like(feats)), k)
+        binned = _binned(x, w, probs, centers, scale)
         assert np.linalg.norm(binned - exact) <= \
             1e-13 * np.linalg.norm(exact)
 
@@ -326,11 +394,11 @@ def _erm_fit_inputs(k, noise_std, n):
 def test_binned_hessian_is_close_to_the_exact_one(point):
     """On the six benchmark ERM fits (k = 4, noise_std 0.5, n = m = 8000),
     at the default start and at the minimizer, the binned Hessian is within
-    5e-4 of the exact one in spectral norm, relative (at most 2.8e-4 at
-    either point), and the eigenvalues of H_bin^-1 H lie within 3e-2 of 1
-    (at most 1.5e-2 at the start, 1.2e-2 at the minimizer).  So the
-    preconditioned system is nearly the identity, and CG converges to
-    CG_TOL in a few products."""
+    5e-4 of the exact one on the subspace in spectral norm, relative (at
+    most 2.8e-4 at either point), and the eigenvalues of H_bin^-1 H there
+    lie within 3e-2 of 1 (at most 1.5e-2 at the start, 1.2e-2 at the
+    minimizer).  So the preconditioned system is nearly the identity, and
+    CG converges in a few products."""
     for x, y, w in _erm_fit_inputs(4, 0.5, 8000):
         centers, scale = feature_plan(x)
         feats = rbf_features(x, centers, scale)
@@ -340,9 +408,9 @@ def test_binned_hessian_is_close_to_the_exact_one(point):
         else:
             W = logistic_fit(x, y, 4, w)[2]
         probs = softmax(feats @ W, axis=1).T.copy()
-        exact = _assemble_hessian(feats, w, probs, np.empty_like(feats))
-        binned = _binned_hessian(x, _covariate_bins(x), w, probs, centers,
-                                 scale)
+        exact = _on_the_subspace(
+            _assemble_hessian(feats, w, probs, np.empty_like(feats)), 4)
+        binned = _binned(x, w, probs, centers, scale)
         assert np.linalg.norm(binned - exact, 2) <= \
             5e-4 * np.linalg.norm(exact, 2)
         eigs = scipy.linalg.eigh(exact, binned, eigvals_only=True)
@@ -355,11 +423,14 @@ def test_binned_hessian_is_close_to_the_exact_one(point):
 # cell of test_hard_erm_fits_match_the_dense_reference.  No fit assembles a
 # Hessian.  When the first two iterates assembled theirs (two assemblies a
 # fit, each about 15x the cost of a product at k = 4), the cells took 35,
-# 114, 120, 246, 364, 398, 279, 100 and 368 products.
+# 114, 120, 246, 364, 398, 279, 100 and 368 products.  With CG run to
+# CG_TOL at every step instead of the forcing term, and the
+# preconditioner on the full k p coordinates, they took 77, 161, 167,
+# 292, 412, 417, 451, 323 and 144.
 HESSIAN_PRODUCTS = {
-    (2, 0.5, 8000): 77, (3, 0.5, 8000): 161, (4, 0.5, 8000): 167,
-    (6, 0.5, 8000): 292, (8, 0.5, 8000): 412, (4, 0.1, 8000): 417,
-    (4, 0.1, 4000): 451, (4, 0.3, 4000): 323, (4, 1.0, 4000): 144}
+    (2, 0.5, 8000): 59, (3, 0.5, 8000): 115, (4, 0.5, 8000): 122,
+    (6, 0.5, 8000): 192, (8, 0.5, 8000): 265, (4, 0.1, 8000): 290,
+    (4, 0.1, 4000): 311, (4, 0.3, 4000): 233, (4, 1.0, 4000): 109}
 
 
 @pytest.mark.parametrize("k, noise_std, n", sorted(HESSIAN_PRODUCTS))
