@@ -134,15 +134,18 @@ NEWTON_TOL = 1e-14          # stop once the Newton decrement is at most this
 NEWTON_MAX_STEPS = 50
 # Every Newton direction comes from conjugate gradients on exact Hessian
 # products, preconditioned by the inverse of the binned Hessian: the
-# samples pooled into BINS equal-width covariate bins (_binned_hessian).
-# It is refreshed at the first HESSIAN_ASSEMBLIES iterates; later ones
-# keep the last.  CG that meets non-positive curvature or runs
-# CG_MAX_ITER iterations, or a binned Hessian that is not finite or not
-# positive definite, assembles that iterate's exact Hessian instead, and
-# its inverse preconditions the later iterates.  The bins and the refresh
-# policy were chosen with a binned Hessian on all k p coordinates and CG
-# run to CG_TOL: fit time against two exact assemblies (at iterates 0-1,
-# CG after them) on the six benchmark ERM-split fits (seeds
+# samples pooled into BINS equal-width bins over the covariate range where
+# the features vary (_covariate_bins, _binned_hessian).  The
+# preconditioner is rebuilt at the first PRECONDITIONER_REFRESHES
+# iterates, and later ones keep the last, unless CG on it gives up
+# (curvature that is not positive, or CG_MAX_ITER iterations short of its
+# goal): that iterate rebuilds it.  On a fresh preconditioner CG runs up to
+# k p iterations, its exact-arithmetic termination bound; CG giving up
+# there, or a binned Hessian that is not finite or not positive definite,
+# raises IllConditioned.  The bins and the refresh policy were chosen with
+# a binned Hessian on all k p coordinates, bins over [min x, max x] and CG
+# run to CG_TOL: fit time against two exact Hessian assemblies (at
+# iterates 0-1, CG after them) on the six benchmark ERM-split fits (seeds
 # 101000-101002, unit and linspace(0.5, 2, 4) weights, n = 4000, k = 4;
 # median and quartiles of 15 alternating in-process pairs, 1 BLAS thread),
 # and the Newton steps and Hessian products per fit:
@@ -166,7 +169,7 @@ NEWTON_MAX_STEPS = 50
 # binned Hessian is built and inverted there, (k - 1) p square: at k = 4
 # and n = 4000 it takes about 0.58 ms and its inverse 0.71 ms, against
 # 0.66 ms and 1.28 ms on all k p coordinates in the same timeit run
-# (1 BLAS thread); an exact assembly takes about 4.1 ms and a product
+# (1 BLAS thread); an exact assembly took about 4.1 ms and a product
 # 0.17 ms.  Run to CG_TOL, CG takes the
 # products it took with the binned Hessian on all k p coordinates, to
 # within one per cell (the CG_TOL column below).
@@ -198,14 +201,26 @@ NEWTON_MAX_STEPS = 50
 # 31, 36, 41, 41, 42, 39 and 30), and the benchmark fits end within
 # 3.9e-13 relative of dense_newton_reference in every row.  A cap of 0.5
 # saves up to 5% more products but costs the far starts two Newton steps.
-HESSIAN_ASSEMBLIES = 2
+#
+# Clipping the bins to where the features vary moves them on two of the
+# nine cells' 27 splits (k = 2, seeds 101001-101002, with 1 and 2 samples
+# past the top of the range) and leaves every cell's products as they
+# were.  On the far-outlier split of
+# test_degenerate_covariates_match_the_dense_reference, bins over
+# [min x, max x] put every other sample into one bin, and its two fits
+# take 5 builds and 439 and 371 products each; clipped, 2 builds and 19
+# and 20 products.
+PRECONDITIONER_REFRESHES = 2
 BINS = 128
+# Beyond REACH scale from every center each bump feature is below the
+# float eps: exp(-REACH^2 / 2) = eps.
+REACH = math.sqrt(-2.0 * math.log(np.finfo(float).eps))
 CG_TOL = 1e-8
 CG_FORCING = 1e-3
 CG_MAX_ITER = 20
 
 
-def _least_squares_start(feats, onehot, w, g):
+def _least_squares_start(feats, onehot, w):
     """Logits near the minimizer of the weighted logistic loss, for a Newton
     start.  The w-weighted one-hot least squares F W_ls ~ onehot estimates
     the reweighted class posterior, so no class-weight term is needed; the
@@ -213,10 +228,11 @@ def _least_squares_start(feats, onehot, w, g):
     solves take the ridge C n REG, the logistic objective's own ridge in
     the Gram's units, so the start stays small along near-null directions
     of the features, as the minimizer does.  The weighted features
-    sqrt(w) F are written into g, the caller's n x p scratch, so no copy of
-    the features is made."""
+    sqrt(w) F are formed once, in the order of feats: on rbf_features'
+    column-major block the scaling runs along contiguous columns."""
     n, p = feats.shape
     sw = np.sqrt(w)
+    g = np.empty_like(feats)
     np.multiply(feats, sw[:, None], out=g)
     gram = g.T @ g
     gram += C * n * REG * np.eye(p)
@@ -235,21 +251,26 @@ def _class_basis(k):
     return basis / np.sqrt(j * (j + 1))
 
 
-def _pair_blocks(basis, grams):
-    """The Hessian of the weighted logistic loss on the class coordinates
-    of basis, a (k, r) matrix with orthonormal columns, from grams, the
-    p x p Grams F^T diag(w p_a p_b / n) F of the class pairs a < b in
-    np.triu_indices order (or approximations of them):
-    sum over pairs of (u u^T) kron Gram, u = basis[a] - basis[b], plus
-    REG I, an (r p, r p) matrix ordered like the flattened (r, p)
-    coordinates.  The identity basis gives the (k p, k p) Hessian, whose
-    block (a, b) is minus the pair's Gram off the diagonal; the
-    probabilities sum to one, so each diagonal block is minus the sum of
-    the others in its block row.  It is positive definite by construction."""
-    k, r = basis.shape
+def _class_pairs(basis):
+    """The class pairs a < b of the (k, k - 1) class basis U, in
+    np.triu_indices order, and the vector U[a] - U[b] of each: (a, b, u),
+    fixed for a fit."""
+    a, b = np.triu_indices(len(basis), 1)
+    return a, b, basis[a] - basis[b]
+
+
+def _pair_blocks(u, grams):
+    """The Hessian of the weighted logistic loss on the class-sum-zero
+    subspace from grams, the p x p Grams F^T diag(w p_a p_b / n) F of the
+    class pairs a < b (or approximations of them), and u, the pairs'
+    (pairs, r) vectors U[a] - U[b] in the class basis U (_class_pairs):
+    sum over pairs of (u u^T) kron Gram, plus REG I, an (r p, r p) matrix
+    ordered like the flattened (r, p) coordinates.  The Hessian on all
+    k p coordinates has the same sum with e_a - e_b in place of u, so this
+    is (U kron I)^T H (U kron I).  It is positive definite by
+    construction."""
+    r = u.shape[1]
     p = grams.shape[-1]
-    a, b = np.triu_indices(k, 1)
-    u = basis[a] - basis[b]
     outer = (u[:, :, None] * u[:, None, :]).reshape(len(u), r * r)
     hess = (outer.T @ grams.reshape(len(u), p * p)).reshape(r, r, p, p)
     hess = hess.transpose(0, 2, 1, 3).reshape(r * p, r * p)
@@ -257,27 +278,19 @@ def _pair_blocks(basis, grams):
     return hess
 
 
-def _assemble_hessian(feats, w, probs, g):
-    """The exact (k p, k p) Hessian at the (k, n) probabilities: one n x p
-    scaling and Gram per class pair.  g is an n x p scratch in the order of
-    feats."""
-    n, p = feats.shape
-    k = len(probs)
-    grams = np.empty((k * (k - 1) // 2, p, p))
-    for q, (a, b) in enumerate(zip(*np.triu_indices(k, 1))):
-        np.multiply(feats, np.sqrt(w * probs[a] * probs[b] / n)[:, None],
-                    out=g)
-        grams[q] = g.T @ g
-    return _pair_blocks(np.eye(k), grams)
-
-
-def _covariate_bins(x):
-    """The bin of each covariate among BINS equal-width bins over
-    [min x, max x]; one bin when the range is 0."""
-    lo, width = x.min(), np.ptp(x)
+def _covariate_bins(x, centers, scale):
+    """The bin of each covariate among BINS equal-width bins over the range
+    where the features at centers and scale vary,
+    [max(min x, min centers - REACH scale), min(max x, max centers + REACH
+    scale)]; covariates outside it go to the edge bins, where their bump
+    features agree with the edge's to rounding.  One bin when the range is
+    0."""
+    reach = REACH * scale
+    lo = max(x.min(), centers.min() - reach)
+    width = min(x.max(), centers.max() + reach) - lo
     if not width > 0:
         return np.zeros(len(x), dtype=np.intp)
-    return np.minimum(((x - lo) / width * BINS).astype(np.intp), BINS - 1)
+    return np.clip((x - lo) / width * BINS, 0, BINS - 1).astype(np.intp)
 
 
 def _pair_bin_keys(bins, k):
@@ -287,19 +300,18 @@ def _pair_bin_keys(bins, k):
     return np.arange(k * (k - 1) // 2)[:, None] * BINS + bins
 
 
-def _binned_hessian(x, keys, w, probs, centers, scale):
+def _binned_hessian(x, keys, w, probs, centers, scale, pairs):
     """The Hessian at the (k, n) probabilities on the class-sum-zero
-    subspace, (U kron I)^T H (U kron I) for the basis U = _class_basis(k),
-    with the samples pooled into their covariate bins: for each class pair,
-    a bin's weight c = sum w p_a p_b / n sits at the bin's c-weighted mean
-    covariate, so the pair's Gram is taken over BINS feature rows instead
-    of n.  keys (_pair_bin_keys) pools every pair in one np.bincount pass.
-    Like the exact Hessian it is positive definite by construction
-    (_pair_blocks).  The features vary on the feature plan's length scale,
-    about five bin widths on the benchmark splits, so it is close to the
-    exact one."""
-    k = len(probs)
-    a, b = np.triu_indices(k, 1)
+    subspace, (U kron I)^T H (U kron I) for the class pairs (a, b, u) of the
+    basis U (_class_pairs), with the samples pooled into their covariate
+    bins: for each class pair, a bin's weight c = sum w p_a p_b / n sits at
+    the bin's c-weighted mean covariate, so the pair's Gram is taken over
+    BINS feature rows instead of n.  keys (_pair_bin_keys) pools every pair
+    in one np.bincount pass.  Like the exact Hessian it is positive
+    definite by construction (_pair_blocks).  The features vary on the
+    feature plan's length scale, about five bin widths on the benchmark
+    splits, so it is close to the exact one."""
+    a, b, u = pairs
     cells = len(a) * BINS
     c = np.empty((len(a), len(x)))
     for q in range(len(a)):
@@ -311,24 +323,15 @@ def _binned_hessian(x, keys, w, probs, centers, scale):
         / np.where(mass > 0, mass, 1.0)         # an empty bin has mass 0
     g = rbf_features(mean, centers, scale).T * np.sqrt(mass)   # (p, cells)
     g = g.reshape(len(centers) + 1, len(a), BINS).transpose(1, 0, 2)
-    return _pair_blocks(_class_basis(k), g @ g.transpose(0, 2, 1))
-
-
-def _spd_inverse(a):
-    """The inverse of the symmetric positive definite a, or None when a is
-    not finite or its Cholesky factorization fails."""
-    try:
-        return _safe_spd_solve(a, np.eye(len(a)))
-    except IllConditioned:
-        return None
+    return _pair_blocks(u, g @ g.transpose(0, 2, 1))
 
 
 def _hessian_product(feats, w, probs, V):
     """The Hessian at the (k, n) probabilities times the (k, p) direction V,
-    without assembling it: with the logit directions Z = V F^T, row a of
-    the product is F^T (w p_a (Z_a - sum_b p_b Z_b)) / n + REG V_a.  About
-    2 n p k multiply-adds, against the n p^2 k (k - 1) / 2 of an
-    assembly."""
+    without forming it: with the logit directions Z = V F^T, row a of the
+    product is F^T (w p_a (Z_a - sum_b p_b Z_b)) / n + REG V_a.  About
+    2 n p k multiply-adds, against the n p^2 k (k - 1) / 2 of forming the
+    Hessian."""
     z = V @ feats.T
     z *= probs
     z -= probs * z.sum(axis=0)
@@ -339,13 +342,13 @@ def _hessian_product(feats, w, probs, V):
     return out
 
 
-def _conjugate_gradients(product, b, precond):
+def _conjugate_gradients(product, b, precond, max_iter):
     """Solves H x = b for the (k, p) right-hand side b by conjugate
     gradients on the products product(V) = H V, preconditioned by
     precond(r) ~ H^-1 r.  Returns x once the residual is at most
     eta ||b||, with the forcing term eta = max(CG_TOL, min(CG_FORCING,
     ||b||)), or None when a direction has curvature that is not positive
-    (NaN included) or CG_MAX_ITER iterations do not converge."""
+    (NaN included) or max_iter iterations do not converge."""
     x = np.zeros_like(b)
     r = b.copy()
     norm_b = float(np.linalg.norm(b))
@@ -353,7 +356,7 @@ def _conjugate_gradients(product, b, precond):
     z = precond(r)
     d = z
     rz = float(np.sum(r * z))
-    for _ in range(CG_MAX_ITER):
+    for _ in range(max_iter):
         hd = product(d)
         curv = float(np.sum(d * hd))
         if not curv > 0:
@@ -370,20 +373,24 @@ def _conjugate_gradients(product, b, precond):
     return None
 
 
-def _newton_direction(grad, assemble, product, precond):
-    """The Newton direction H^-1 grad for the (k, p) gradient, and the
-    Hessian assembled for it (None when none was).  With precond, which
-    applies the inverse of a binned or an earlier assembled Hessian, by
-    _conjugate_gradients on the exact products product(V) = H V.  Without
-    it, or when CG gives up, from assemble()'s Hessian by _safe_spd_solve,
-    which raises IllConditioned on a Hessian that is non-finite or not
-    numerically positive definite."""
+def _newton_direction(grad, product, precond, build):
+    """The Newton direction H^-1 grad for the (k, p) gradient, by
+    _conjugate_gradients on the exact products product(V) = H V, and the
+    preconditioner that gave it.  CG runs on precond, the last
+    preconditioner, for up to CG_MAX_ITER iterations; when precond is None
+    or CG gives up, on the fresh one build() makes for up to k p, the
+    exact-arithmetic termination bound.  CG giving up there raises
+    IllConditioned."""
     if precond is not None:
-        step = _conjugate_gradients(product, grad, precond)
+        step = _conjugate_gradients(product, grad, precond, CG_MAX_ITER)
         if step is not None:
-            return step, None
-    hess = assemble()
-    return _safe_spd_solve(hess, grad.reshape(-1)).reshape(grad.shape), hess
+            return step, precond
+    precond = build()
+    step = _conjugate_gradients(product, grad, precond, grad.size)
+    if step is None:
+        raise IllConditioned("conjugate gradients found no Newton direction "
+                             f"in {grad.size} iterations")
+    return step, precond
 
 
 def _softmax(z):
@@ -410,11 +417,13 @@ def logistic_fit(x, y, k, w=None, start=None):
     until the loss drops by a quarter of the decrement g^T H^-1 g.  The
     start, each gradient and each direction are centered across classes,
     so the iterates stay where the minimizer is, on the subspace where the
-    class columns of W sum to zero.  The direction H^-1 g comes from
+    class columns of W sum to zero.  Every direction H^-1 g comes from
     _newton_direction: conjugate gradients on exact Hessian products, to
     a forcing term (_conjugate_gradients), preconditioned by the inverse of
-    the binned Hessian on that subspace (_binned_hessian), refreshed at the
-    first HESSIAN_ASSEMBLIES iterates.  The fit stops once that decrement is at most NEWTON_TOL, or
+    the binned Hessian on that subspace (_binned_hessian), rebuilt at the
+    first PRECONDITIONER_REFRESHES iterates and wherever CG on the last one
+    gives up.  Where no direction comes, the fit raises IllConditioned.
+    The fit stops once that decrement is at most NEWTON_TOL, or
     once the point the halving accepts is W itself, bit for bit: then no
     representable step along the Newton direction lowers the loss.  The
     loss is strongly convex, so its minimizer does not depend on start.
@@ -439,33 +448,27 @@ def logistic_fit(x, y, k, w=None, start=None):
         if W.shape != (p, k):
             raise DataError(f"start has shape {W.shape}, expected ({p}, {k})")
         require_finite(start=W)
-    keys = _pair_bin_keys(_covariate_bins(x), k)
     # Logits, probabilities and one-hot are class-major, (k, n): each class
     # pass reads one contiguous row.
     onehot = np.zeros((k, n))
     onehot[y, np.arange(n)] = 1.0
-    # Shared by all blocks of an assembled Hessian (one per block was 14%
-    # slower) and by the least-squares start.  It takes the order of feats,
-    # so on rbf_features' column-major block each scaling runs along
-    # contiguous columns.
-    g = np.empty_like(feats)
     if start is None:
-        W = _least_squares_start(feats, onehot, w, g)
+        W = _least_squares_start(feats, onehot, w)
     # The softmax ignores a shift common to all classes and the ridge
     # penalizes it, so the minimizer's class columns sum to zero.  The fit
     # stays on that subspace: the start, every gradient and every Newton
     # direction are centered across classes, and the preconditioner acts
-    # on the coordinates in the class basis U.  A solve with an assembled
-    # Hessian, which acts on the class-common part only by REG, scales the
-    # rounding there by 1 / REG, so the directions are centered too.
+    # on the coordinates in the class basis U.
     W -= W.mean(axis=1, keepdims=True)
     basis = _class_basis(k)
+    pairs = _class_pairs(basis)
+    keys = _pair_bin_keys(_covariate_bins(x, centers, scale), k)
 
-    def preconditioner(inverse):
-        """r -> U inverse U^T r on (k, p) residuals r, for the inverse of a
-        Hessian on the (k - 1, p) coordinates; None for None."""
-        if inverse is None:
-            return None
+    def preconditioner(probs):
+        """r -> U H^-1 U^T r on (k, p) residuals r, for the binned Hessian H
+        at probs on the (k - 1, p) coordinates."""
+        hess = _binned_hessian(x, keys, w, probs, centers, scale, pairs)
+        inverse = _safe_spd_solve(hess, np.eye(len(hess)))
         return lambda r: basis @ (inverse @ (basis.T @ r).reshape(-1)) \
             .reshape(k - 1, p)
 
@@ -477,25 +480,14 @@ def logistic_fit(x, y, k, w=None, start=None):
         return w @ ce / n + 0.5 * REG * np.sum(W * W), probs
 
     f, probs = state(W)
-    # The preconditioner: the inverse of the last binned Hessian, or of the
-    # last Hessian assembled when CG gave up, once a CG step needs it
-    hess = precond = None
+    precond = None          # the last preconditioner built
     for it in range(NEWTON_MAX_STEPS):
         grad = ((probs - onehot) * w) @ feats / n + REG * W.T     # (k, p)
         grad -= grad.mean(axis=0)
-        if it < HESSIAN_ASSEMBLIES:
-            precond = preconditioner(_spd_inverse(
-                _binned_hessian(x, keys, w, probs, centers, scale)))
-        elif precond is None:
-            # hess passed the Cholesky check; its restriction to the
-            # subspace, (U kron I)^T H (U kron I), is inverted there
-            lift = np.kron(basis, np.eye(p))
-            precond = preconditioner(np.linalg.inv(lift.T @ hess @ lift))
-        step, assembled = _newton_direction(
-            grad, lambda: _assemble_hessian(feats, w, probs, g),
-            lambda V: _hessian_product(feats, w, probs, V), precond)
-        if assembled is not None:
-            hess, precond = assembled, None
+        step, precond = _newton_direction(
+            grad, lambda V: _hessian_product(feats, w, probs, V),
+            precond if it >= PRECONDITIONER_REFRESHES else None,
+            lambda: preconditioner(probs))
         step -= step.mean(axis=0)
         step = step.T
         dec = float(np.sum(grad.T * step))

@@ -5,8 +5,9 @@ degenerate covariates, typed failures at the cap and on bad labels, weights
 or starts, the runner's prior-shifted ERM start, the Newton steps each start
 takes, the class-sum-zero subspace the fit stays on, and the preconditioned
 conjugate-gradient directions: exact Hessian products, the binned Hessian on
-that subspace that preconditions them, the fallback to an assembled Hessian,
-and the assemblies and products each fit makes."""
+that subspace that preconditions them, its rebuild where CG stalls, the typed
+failure where no direction comes, and the builds and products each fit
+makes."""
 
 import warnings
 
@@ -22,19 +23,34 @@ from shiftweight import (CategoricalSynthConfig, DataError, IllConditioned,
                          NonFiniteInput, build_config, gen_categorical,
                          split_alpha, train_simplex)
 from shiftweight import experiments, predictors
-from shiftweight.predictors import (BINS, HESSIAN_ASSEMBLIES,
-                                    NEWTON_MAX_STEPS, NEWTON_TOL, REG,
-                                    _assemble_hessian, _binned_hessian,
-                                    _class_basis, _covariate_bins,
+from shiftweight.predictors import (BINS, NEWTON_MAX_STEPS, NEWTON_TOL,
+                                    PRECONDITIONER_REFRESHES, REG,
+                                    _binned_hessian, _class_basis,
+                                    _class_pairs, _covariate_bins,
                                     _hessian_product, _least_squares_start,
                                     _pair_bin_keys, _safe_spd_solve,
                                     feature_plan, logistic_fit, rbf_features)
 
 
+def exact_hessian(feats, w, probs):
+    """The (k p, k p) Hessian of the weighted logistic loss at the (n, k)
+    probabilities, every block (a, b), a <= b, formed directly as
+    F^T diag(w p_a (delta_ab - p_b) / n) F, plus REG I."""
+    n, p = feats.shape
+    k = probs.shape[1]
+    hess = np.empty((k, p, k, p))
+    for a in range(k):
+        for b in range(a, k):
+            d = w * probs[:, a] * (float(a == b) - probs[:, b]) / n
+            hess[a, :, b] = feats.T @ (feats * d[:, None])
+            hess[b, :, a] = hess[a, :, b].T
+    return hess.reshape(k * p, k * p) + REG * np.eye(k * p)
+
+
 def dense_newton_reference(feats, y, k, w):
-    """The same damped Newton fit with every Hessian block (a, b), a <= b,
-    formed directly as F^T diag(w p_a (delta_ab - p_b) / n) F, and the loss
-    and probabilities recomputed from scratch wherever they are needed."""
+    """The same damped Newton fit with every Hessian formed directly
+    (exact_hessian), and the loss and probabilities recomputed from scratch
+    wherever they are needed."""
     n, p = feats.shape
     onehot = np.eye(k)[y]
 
@@ -47,13 +63,7 @@ def dense_newton_reference(feats, y, k, w):
     for _ in range(NEWTON_MAX_STEPS):
         probs = softmax(feats @ W, axis=1)
         grad = feats.T @ ((probs - onehot) * w[:, None]) / n + REG * W
-        hess = np.empty((k, p, k, p))
-        for a in range(k):
-            for b in range(a, k):
-                d = w * probs[:, a] * (float(a == b) - probs[:, b]) / n
-                hess[a, :, b] = feats.T @ (feats * d[:, None])
-                hess[b, :, a] = hess[a, :, b].T
-        hess = hess.reshape(k * p, k * p) + REG * np.eye(k * p)
+        hess = exact_hessian(feats, w, probs)
         step = _safe_spd_solve(hess, grad.T.reshape(-1)).reshape(k, p).T
         dec = float(np.sum(grad * step))
         if dec <= NEWTON_TOL:
@@ -124,11 +134,9 @@ def test_fitted_class_columns_sum_to_zero(k):
 
 def test_far_started_fits_keep_class_columns_summing_to_zero():
     """From the far starts of test_line_search_halves_from_a_far_start, CG
-    gives up at some iterates (2 and 4 assemblies), and the exact Hessian
-    acts on the class-common part only by REG, so its solve scales the
-    rounding there by 1 / REG.  Each direction is centered, so
-    ||W 1|| / ||W|| stays at most 1.4e-15; uncentered directions left
-    4.4e-13 to 5.6e-13."""
+    on the last preconditioner gives up at some iterates, which rebuild it
+    (2 and 4 rebuilds).  Each direction is centered, so ||W 1|| / ||W||
+    stays at most 1.5e-15."""
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 0), 2000, 2000)
     x, y = ds.source_x, ds.source_y
     rng = np.random.default_rng(0)
@@ -238,29 +246,68 @@ def test_fit_reaches_the_minimizer(weighted):
     assert np.linalg.norm(grad) <= 1e-10
 
 
-@pytest.mark.parametrize("weighting", ("unit", "one_class_zero"))
-@pytest.mark.parametrize("covariates", ("fewer_samples_than_bins",
-                                        "far_outlier"))
+def _far_outlier_split():
+    """The seed-101000 benchmark ERM split (k = 4) with its largest
+    covariate moved to 1e3, its labels, and the target covariates."""
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 101000), 8000, 8000)
+    sp = split_alpha(ds, 0.5, seed=101000)
+    x = sp.erm_x.copy()
+    x[np.argmax(x)] = 1e3
+    return x, sp.erm_y, ds.target_x
+
+
+@pytest.mark.parametrize("covariates, weighting", (
+    ("fewer_samples_than_bins", "unit"),
+    ("fewer_samples_than_bins", "one_class_zero"),
+    ("far_outlier", "unit"), ("far_outlier", "one_class_zero"),
+    ("separated_blobs", "unit")))
 def test_degenerate_covariates_match_the_dense_reference(covariates,
                                                          weighting):
-    """Covariates that bin badly still give the reference's fit: 70
-    samples, fewer than BINS, and the seed-101000 benchmark ERM split with
-    its largest covariate moved to 1e3, which squeezes the other samples
-    into the lowest bin.  There the binned Hessian preconditions poorly, CG
-    gives up at the first two iterates and they assemble their Hessians."""
+    """Covariates that bin badly or make CG work hard still give the
+    reference's fit.  70 samples, fewer than BINS.  The seed-101000
+    benchmark ERM split with its largest covariate moved to 1e3, far beyond
+    where the features vary: the clipped bins put it in the top bin, and CG
+    takes 19 and 20 products a fit.  The separated class blobs
+    of test_predictors (seeds 0, 1 and 10 at k = 3, 2 and 4, unit weights):
+    CG on the last preconditioner stalls at 2, 0 and 6 iterates, which
+    rebuild it, and CG on a fresh one runs past CG_MAX_ITER (up to 25, 22
+    and 32 iterations), toward its k p cap."""
     if covariates == "fewer_samples_than_bins":
-        k = 4
-        y = np.repeat(np.arange(k), 10 + 5 * np.arange(k))
+        y = np.repeat(np.arange(4), 10 + 5 * np.arange(4))
         x = np.random.default_rng(5).normal(size=len(y)) + 0.3 * y
-        xq = np.linspace(-2.0, 3.0, 50)
         assert len(x) < BINS
+        fits = [(x, y, 4, np.linspace(-2.0, 3.0, 50))]
+    elif covariates == "far_outlier":
+        x, y, xq = _far_outlier_split()
+        fits = [(x, y, 4, xq)]
     else:
-        ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 101000), 8000, 8000)
-        sp = split_alpha(ds, 0.5, seed=101000)
-        k, x, y, xq = 4, sp.erm_x.copy(), sp.erm_y, ds.target_x
-        x[np.argmax(x)] = 1e3
-    w = {"unit": np.ones(k), "one_class_zero": np.r_[np.ones(k - 1), 0.0]}
-    _assert_matches_reference(x, y, k, w[weighting][y], xq)
+        fits = []
+        for seed, k, per_class in ((0, 3, 40), (1, 2, 60), (10, 4, 30)):
+            rng = np.random.default_rng(seed)
+            x = np.concatenate([c * 10.0 + 0.05 * rng.normal(size=per_class)
+                                for c in range(k)])
+            fits.append((x, np.repeat(np.arange(k), per_class), k,
+                         np.linspace(-5.0, 10.0 * k - 5.0, 50)))
+    for x, y, k, xq in fits:
+        w = {"unit": np.ones(k), "one_class_zero": np.r_[np.ones(k - 1), 0.0]}
+        _assert_matches_reference(x, y, k, w[weighting][y], xq)
+
+
+def test_a_far_outlier_leaves_the_bins_where_the_features_vary(
+        monkeypatch):
+    """On the far-outlier split the bins are clipped to where the features
+    vary, so the outlier joins the top bin and the other samples keep
+    theirs: each fit (unit and one-class-zero weights) builds its
+    preconditioner at the refresh iterates only, and the two take 39
+    products.  With bins over [min x, max x] they rebuilt it 3 times each
+    and took 810."""
+    builds = _counting_calls(monkeypatch, "_binned_hessian")
+    products = _counting_calls(monkeypatch, "_hessian_product")
+    x, y, _ = _far_outlier_split()
+    for w in (np.ones(4), np.r_[np.ones(3), 0.0]):
+        logistic_fit(x, y, 4, w[y])
+    assert len(builds) == 2 * PRECONDITIONER_REFRESHES
+    assert len(products) <= 39
 
 
 @pytest.mark.parametrize("weighting", ("unit", "one_class_zero"))
@@ -300,8 +347,8 @@ def test_zero_range_covariates_reach_the_minimizer(k, weighting):
 @pytest.mark.parametrize("weighting", ("unit", "per_class", "one_class_zero"))
 @pytest.mark.parametrize("k", (2, 4, 6))
 def test_hessian_product_matches_the_assembled_hessian(k, weighting):
-    """The products conjugate gradients take equal the assembled Hessian
-    times the direction, up to rounding."""
+    """The products conjugate gradients take equal the Hessian assembled
+    block by block (exact_hessian) times the direction, up to rounding."""
     ds = gen_categorical(CategoricalSynthConfig(k, 0.5, 700 + k), 1500, 1500)
     x, y = ds.source_x, ds.source_y
     feats = rbf_features(x, *feature_plan(x))
@@ -311,7 +358,7 @@ def test_hessian_product_matches_the_assembled_hessian(k, weighting):
          "one_class_zero": np.r_[np.ones(k - 1), 0.0]}[weighting][y]
     rng = np.random.default_rng(k)
     probs = softmax(feats @ rng.normal(size=(p, k)), axis=1).T.copy()
-    hess = _assemble_hessian(feats, w, probs, np.empty_like(feats))
+    hess = exact_hessian(feats, w, probs.T)
     for _ in range(3):
         V = rng.normal(size=(k, p))
         expected = (hess @ V.reshape(-1)).reshape(k, p)
@@ -329,8 +376,10 @@ def _on_the_subspace(hess, k):
 
 
 def _binned(x, w, probs, centers, scale):
-    return _binned_hessian(x, _pair_bin_keys(_covariate_bins(x), len(probs)),
-                           w, probs, centers, scale)
+    k = len(probs)
+    keys = _pair_bin_keys(_covariate_bins(x, centers, scale), k)
+    return _binned_hessian(x, keys, w, probs, centers, scale,
+                           _class_pairs(_class_basis(k)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -357,21 +406,20 @@ def test_binned_hessian_is_positive_definite(data):
 def test_one_bin_gives_the_assembled_hessian():
     """With every covariate equal there is one bin, whose mean is that
     covariate, and the binned Hessian is the exact one on the subspace up
-    to rounding (at most 8.6e-16 relative)."""
+    to rounding (at most 8.4e-16 relative)."""
     k, n = 4, 500
     centers, scale = feature_plan(
         gen_categorical(CategoricalSynthConfig(k, 0.5, 704), 1500, 1500)
         .source_x)                  # a plan whose features at x vary
     x = np.full(n, 0.3)
     feats = rbf_features(x, centers, scale)
-    bins = _covariate_bins(x)
+    bins = _covariate_bins(x, centers, scale)
     assert not np.any(bins)
     rng = np.random.default_rng(4)
     y = np.arange(n) % k
     for w in (np.ones(n), np.r_[np.ones(k - 1), 0.0][y]):
         probs = softmax(rng.normal(size=(k, n)), axis=0)
-        exact = _on_the_subspace(
-            _assemble_hessian(feats, w, probs, np.empty_like(feats)), k)
+        exact = _on_the_subspace(exact_hessian(feats, w, probs.T), k)
         binned = _binned(x, w, probs, centers, scale)
         assert np.linalg.norm(binned - exact) <= \
             1e-13 * np.linalg.norm(exact)
@@ -403,13 +451,11 @@ def test_binned_hessian_is_close_to_the_exact_one(point):
         centers, scale = feature_plan(x)
         feats = rbf_features(x, centers, scale)
         if point == "start":
-            W = _least_squares_start(feats, np.eye(4)[y].T, w,
-                                     np.empty_like(feats))
+            W = _least_squares_start(feats, np.eye(4)[y].T, w)
         else:
             W = logistic_fit(x, y, 4, w)[2]
         probs = softmax(feats @ W, axis=1).T.copy()
-        exact = _on_the_subspace(
-            _assemble_hessian(feats, w, probs, np.empty_like(feats)), 4)
+        exact = _on_the_subspace(exact_hessian(feats, w, probs.T), 4)
         binned = _binned(x, w, probs, centers, scale)
         assert np.linalg.norm(binned - exact, 2) <= \
             5e-4 * np.linalg.norm(exact, 2)
@@ -420,13 +466,13 @@ def test_binned_hessian_is_close_to_the_exact_one(point):
 # Hessian products summed over the six fits of each (k, noise_std, n)
 # cell from the default start: the cells of STEPS_UNDER_THE_FORMER_RIDGE
 # (the (4, 0.5) one is the six benchmark ERM fits) and the noise_std 0.1
-# cell of test_hard_erm_fits_match_the_dense_reference.  No fit assembles a
-# Hessian.  When the first two iterates assembled theirs (two assemblies a
-# fit, each about 15x the cost of a product at k = 4), the cells took 35,
-# 114, 120, 246, 364, 398, 279, 100 and 368 products.  With CG run to
-# CG_TOL at every step instead of the forcing term, and the
-# preconditioner on the full k p coordinates, they took 77, 161, 167,
-# 292, 412, 417, 451, 323 and 144.
+# cell of test_hard_erm_fits_match_the_dense_reference.  No iterate after
+# the refreshes rebuilds its preconditioner.  When the first two iterates
+# assembled exact Hessians (two assemblies a fit, each about 15x the cost
+# of a product at k = 4), the cells took 35, 114, 120, 246, 364, 398, 279,
+# 100 and 368 products.  With CG run to CG_TOL at every step instead of
+# the forcing term, and the preconditioner on the full k p coordinates,
+# they took 77, 161, 167, 292, 412, 417, 451, 323 and 144.
 HESSIAN_PRODUCTS = {
     (2, 0.5, 8000): 59, (3, 0.5, 8000): 115, (4, 0.5, 8000): 122,
     (6, 0.5, 8000): 192, (8, 0.5, 8000): 265, (4, 0.1, 8000): 290,
@@ -436,79 +482,77 @@ HESSIAN_PRODUCTS = {
 @pytest.mark.parametrize("k, noise_std, n", sorted(HESSIAN_PRODUCTS))
 def test_fits_assemble_no_hessian_within_the_product_budget(monkeypatch, k,
                                                             noise_std, n):
-    """A timing-free guard on the fit's cost: no fit of the cell assembles
-    a Hessian, and the cell's Hessian products stay at or below its count.
-    A weaker preconditioner fails here, not only in the benchmark."""
-    assemblies = _counting_calls(monkeypatch, "_assemble_hessian")
+    """A timing-free guard on the fit's cost: every fit of the cell builds
+    its binned preconditioner once at each of its first
+    PRECONDITIONER_REFRESHES iterates and at no later one (so CG on the
+    last preconditioner never stalls), and the cell's Hessian products stay
+    at or below its count.  A weaker preconditioner fails here, not only in
+    the benchmark."""
+    builds = _counting_calls(monkeypatch, "_binned_hessian")
     products = _counting_calls(monkeypatch, "_hessian_product")
+    fits = 0
     for x, y, w in _erm_fit_inputs(k, noise_std, n):
         logistic_fit(x, y, k, w)
-    assert len(assemblies) == 0
+        fits += 1
+    assert len(builds) == PRECONDITIONER_REFRESHES * fits == 12
     assert len(products) <= HESSIAN_PRODUCTS[k, noise_std, n]
 
 
-def test_cg_fallback_reproduces_the_assembled_newton_fit(monkeypatch):
-    """With the CG cap at 0 every iterate falls back to assembling its
-    Hessian, and W is bit for bit the W of the exact Newton fit, whose
-    every direction is solved from an assembled Hessian."""
-    real_direction = predictors._newton_direction
-    for x, y, w in _erm_fit_inputs(4, 0.5, 8000):
-        monkeypatch.setattr(
-            predictors, "_newton_direction",
-            lambda grad, assemble, product, precond:
-                real_direction(grad, assemble, product, None))
-        W_assembled = logistic_fit(x, y, 4, w)[2]
-        monkeypatch.undo()
-        monkeypatch.setattr(predictors, "CG_MAX_ITER", 0)
-        steps = _counting_directions(monkeypatch)
-        assemblies = _counting_calls(monkeypatch, "_assemble_hessian")
-        W_fallback = logistic_fit(x, y, 4, w)[2]
-        monkeypatch.undo()
-        assert len(assemblies) == len(steps) > HESSIAN_ASSEMBLIES
-        np.testing.assert_array_equal(W_fallback, W_assembled)
+def test_a_stalled_cg_rebuilds_the_preconditioner(monkeypatch):
+    """With the cap on CG over the last preconditioner at 0, CG stalls at
+    every iterate after the refreshes, and each of them rebuilds the
+    preconditioner: one build per Newton step.  W is bit for bit the W of
+    the fit that rebuilds it at every iterate, and matches the dense
+    reference."""
+    ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 704), 1500, 1500)
+    x, y = ds.source_x, ds.source_y
+    monkeypatch.setattr(predictors, "PRECONDITIONER_REFRESHES",
+                        NEWTON_MAX_STEPS)
+    W_refreshed = logistic_fit(x, y, 4)[2]
+    monkeypatch.undo()
+    monkeypatch.setattr(predictors, "CG_MAX_ITER", 0)
+    steps = _counting_directions(monkeypatch)
+    builds = _counting_calls(monkeypatch, "_binned_hessian")
+    _assert_matches_reference(x, y, 4, np.ones(len(y)), ds.target_x)
+    assert len(builds) == len(steps) > PRECONDITIONER_REFRESHES
+    np.testing.assert_array_equal(logistic_fit(x, y, 4)[2], W_refreshed)
 
 
 FAULTS = ((np.negative, "Cholesky"), (lambda a: a * np.nan, "NaN or inf"))
 
 
-@pytest.mark.parametrize("fault, message", FAULTS)
-def test_a_bad_hessian_at_a_cg_iterate_raises(monkeypatch, fault, message):
+@pytest.mark.parametrize("fault", [fault for fault, _ in FAULTS])
+def test_a_bad_hessian_at_a_cg_iterate_raises(monkeypatch, fault):
     """Products whose curvature is negative, or NaN, make CG give up at the
-    first iterate; it then assembles its Hessian, and one that is not
-    positive definite, or not finite, raises IllConditioned from
-    _safe_spd_solve."""
-    assemblies, products = [], []
-
-    def assemble(*args):
-        assemblies.append(None)
-        return fault(_assemble_hessian(*args))
+    first iterate on the preconditioner just built for it.  No other source
+    of a Newton direction exists, so the fit raises IllConditioned after
+    one build and one product."""
+    builds = _counting_calls(monkeypatch, "_binned_hessian")
+    products = []
 
     def product(*args):
         products.append(None)
         return fault(_hessian_product(*args))
 
     monkeypatch.setattr(predictors, "_hessian_product", product)
-    monkeypatch.setattr(predictors, "_assemble_hessian", assemble)
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 704), 1500, 1500)
-    with pytest.raises(IllConditioned, match=message):
+    with pytest.raises(IllConditioned, match="no Newton direction"):
         logistic_fit(ds.source_x, ds.source_y, 4, start=np.zeros((33, 4)))
-    assert len(assemblies) == 1 and len(products) == 1
+    assert len(builds) == 1 and len(products) == 1
 
 
-@pytest.mark.parametrize("fault", [fault for fault, _ in FAULTS])
-def test_a_bad_binned_hessian_falls_back_to_assembly(monkeypatch, fault):
+@pytest.mark.parametrize("fault, message", FAULTS)
+def test_a_bad_binned_hessian_raises(monkeypatch, fault, message):
     """A binned Hessian that is not positive definite, or not finite,
-    preconditions nothing: its two iterates assemble their Hessians, the
-    later ones are preconditioned by the inverse of the last of them, and
-    the fit still matches the dense reference."""
+    raises IllConditioned from _safe_spd_solve before CG takes a product."""
     real_binned = predictors._binned_hessian
     monkeypatch.setattr(predictors, "_binned_hessian",
                         lambda *args: fault(real_binned(*args)))
-    assemblies = _counting_calls(monkeypatch, "_assemble_hessian")
+    products = _counting_calls(monkeypatch, "_hessian_product")
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 704), 1500, 1500)
-    _assert_matches_reference(ds.source_x, ds.source_y, 4,
-                              np.ones(len(ds.source_y)), ds.target_x)
-    assert len(assemblies) == HESSIAN_ASSEMBLIES
+    with pytest.raises(IllConditioned, match=message):
+        logistic_fit(ds.source_x, ds.source_y, 4)
+    assert not products
 
 
 def test_fit_raises_instead_of_returning_a_capped_iterate(monkeypatch):
@@ -522,15 +566,14 @@ def test_fit_raises_instead_of_returning_a_capped_iterate(monkeypatch):
 
 def _counting_directions(monkeypatch):
     """Wraps _newton_direction; returns the list of Newton decrements
-    g^T H^-1 g of the directions it gives, one per Newton step, whether the
-    direction came from an assembled Hessian or from conjugate gradients."""
+    g^T H^-1 g of the directions it gives, one per Newton step."""
     decrements = []
     real_direction = predictors._newton_direction
 
     def direction(grad, *args):
-        step, hess = real_direction(grad, *args)
+        step, precond = real_direction(grad, *args)
         decrements.append(float(np.sum(grad * step)))
-        return step, hess
+        return step, precond
 
     monkeypatch.setattr(predictors, "_newton_direction", direction)
     return decrements
@@ -576,7 +619,7 @@ def test_line_search_halves_from_a_far_start(monkeypatch):
 
 
 def _counting_calls(monkeypatch, name):
-    """Wraps the predictors function name (such as _assemble_hessian or
+    """Wraps the predictors function name (such as _binned_hessian or
     _hessian_product); returns the list it appends one entry to per call."""
     calls = []
     real = getattr(predictors, name)
