@@ -141,6 +141,8 @@ def build_config(raw):
 
     if not cfg.seeds or min(cfg.seeds) < 0:
         raise ConfigError("seeds must be nonempty and nonnegative", field="seeds")
+    if len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ConfigError("seeds must be distinct", field="seeds")
     if cfg.scenario != "single_run":
         if not cfg.sweep:
             raise ConfigError(f"{cfg.scenario} needs a sweep", field="sweep")

@@ -139,10 +139,15 @@ NEWTON_MAX_STEPS = 50
 # preconditioner is rebuilt at the first PRECONDITIONER_REFRESHES
 # iterates, and later ones keep the last, unless CG on it gives up
 # (curvature that is not positive, or CG_MAX_ITER iterations short of its
-# goal): that iterate rebuilds it.  On a fresh preconditioner CG runs up to
-# k p iterations, its exact-arithmetic termination bound; CG giving up
-# there, or a binned Hessian that is not finite or not positive definite,
-# raises IllConditioned.  The bins and the refresh policy were chosen with
+# goal): then that iterate builds a fresh one and CG goes on with it from
+# the iterate and residual it has, for up to k p more iterations, its
+# exact-arithmetic termination bound.  CG giving up on a fresh
+# preconditioner, or a binned Hessian that is not finite or not positive
+# definite, raises IllConditioned.  Restarting CG from zero on the fresh
+# one instead took 203, 150 and 318 products on the separated blobs of
+# the tests (now 183, 150 and 233) and 172 and 174 on the far starts (now
+# 171 and 171); a k p cap on the last preconditioner as well took 839 and
+# 975 on the far starts.  The bins and the refresh policy were chosen with
 # a binned Hessian on all k p coordinates, bins over [min x, max x] and CG
 # run to CG_TOL: fit time against two exact Hessian assemblies (at
 # iterates 0-1, CG after them) on the six benchmark ERM-split fits (seeds
@@ -342,55 +347,45 @@ def _hessian_product(feats, w, probs, V):
     return out
 
 
-def _conjugate_gradients(product, b, precond, max_iter):
-    """Solves H x = b for the (k, p) right-hand side b by conjugate
-    gradients on the products product(V) = H V, preconditioned by
-    precond(r) ~ H^-1 r.  Returns x once the residual is at most
-    eta ||b||, with the forcing term eta = max(CG_TOL, min(CG_FORCING,
-    ||b||)), or None when a direction has curvature that is not positive
-    (NaN included) or max_iter iterations do not converge."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    norm_b = float(np.linalg.norm(b))
-    goal = max(CG_TOL, min(CG_FORCING, norm_b)) * norm_b
-    z = precond(r)
-    d = z
-    rz = float(np.sum(r * z))
-    for _ in range(max_iter):
-        hd = product(d)
-        curv = float(np.sum(d * hd))
-        if not curv > 0:
-            return None
-        alpha = rz / curv
-        x += alpha * d
-        r -= alpha * hd
-        if np.linalg.norm(r) <= goal:
-            return x
-        z = precond(r)
-        rz_next = float(np.sum(r * z))
-        d = z + (rz_next / rz) * d
-        rz = rz_next
-    return None
-
-
 def _newton_direction(grad, product, precond, build):
-    """The Newton direction H^-1 grad for the (k, p) gradient, by
-    _conjugate_gradients on the exact products product(V) = H V, and the
-    preconditioner that gave it.  CG runs on precond, the last
-    preconditioner, for up to CG_MAX_ITER iterations; when precond is None
-    or CG gives up, on the fresh one build() makes for up to k p, the
-    exact-arithmetic termination bound.  CG giving up there raises
-    IllConditioned."""
-    if precond is not None:
-        step = _conjugate_gradients(product, grad, precond, CG_MAX_ITER)
-        if step is not None:
-            return step, precond
-    precond = build()
-    step = _conjugate_gradients(product, grad, precond, grad.size)
-    if step is None:
-        raise IllConditioned("conjugate gradients found no Newton direction "
-                             f"in {grad.size} iterations")
-    return step, precond
+    """The Newton direction H^-1 grad for the (k, p) gradient, and the
+    preconditioner that ended it: conjugate gradients on the exact products
+    product(V) = H V, stopped once the residual is at most eta ||grad||,
+    with the forcing term eta = max(CG_TOL, min(CG_FORCING, ||grad||)).
+    CG runs on precond, the last preconditioner, for up to CG_MAX_ITER
+    iterations.  When precond is None, or CG on it meets curvature that is
+    not positive (NaN included) or does not converge, the fresh one build()
+    makes is swapped in, and CG restarts from the iterate and residual it
+    has, for up to k p more iterations, the exact-arithmetic termination
+    bound.  CG giving up on the fresh one raises IllConditioned."""
+    step = np.zeros_like(grad)
+    r = grad.copy()
+    norm_g = float(np.linalg.norm(grad))
+    goal = max(CG_TOL, min(CG_FORCING, norm_g)) * norm_g
+    fresh = precond is None
+    while True:
+        if fresh:
+            precond = build()
+        d = precond(r)
+        rz = float(np.sum(r * d))
+        for _ in range(grad.size if fresh else CG_MAX_ITER):
+            hd = product(d)
+            curv = float(np.sum(d * hd))
+            if not curv > 0:
+                break
+            alpha = rz / curv
+            step += alpha * d
+            r -= alpha * hd
+            if np.linalg.norm(r) <= goal:
+                return step, precond
+            z = precond(r)
+            rz_next = float(np.sum(r * z))
+            d = z + (rz_next / rz) * d
+            rz = rz_next
+        if fresh:
+            raise IllConditioned("conjugate gradients found no Newton "
+                                 f"direction in {grad.size} iterations")
+        fresh = True
 
 
 def _softmax(z):
@@ -419,10 +414,11 @@ def logistic_fit(x, y, k, w=None, start=None):
     so the iterates stay where the minimizer is, on the subspace where the
     class columns of W sum to zero.  Every direction H^-1 g comes from
     _newton_direction: conjugate gradients on exact Hessian products, to
-    a forcing term (_conjugate_gradients), preconditioned by the inverse of
-    the binned Hessian on that subspace (_binned_hessian), rebuilt at the
-    first PRECONDITIONER_REFRESHES iterates and wherever CG on the last one
-    gives up.  Where no direction comes, the fit raises IllConditioned.
+    a forcing term, preconditioned by the inverse of the binned Hessian on
+    that subspace (_binned_hessian), rebuilt at the first
+    PRECONDITIONER_REFRESHES iterates and swapped in, mid-CG, wherever CG
+    on the last one gives up.  Where no direction comes, the fit raises
+    IllConditioned.
     The fit stops once that decrement is at most NEWTON_TOL, or
     once the point the halving accepts is W itself, bit for bit: then no
     representable step along the Newton direction lowers the loss.  The

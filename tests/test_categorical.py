@@ -240,22 +240,30 @@ def test_e2_just_below_the_zero_threshold_returns_zero():
             assert np.linalg.norm(theta) <= 1e-12 * scale
 
 
-def test_e2_root_below_working_precision_returns_the_kink():
+@pytest.mark.parametrize("delta_T, evaluates_psi",
+                         ((1e-6, True), (1e-20, False)),
+                         ids=("psi_floor_exit", "upper_end_below_floor"))
+def test_e2_root_below_working_precision_returns_the_kink(delta_T,
+                                                         evaluates_psi):
     """b sits 1e-12 off the range of a tall T, so the residual test of the kink
-    shortcut fails; with delta_T = 1e-6 the root lies below eps sigma_min^2,
-    where theta(t) equals the pseudo-inverse solution to working precision."""
+    shortcut fails; the root lies below eps sigma_min^2, where theta(t)
+    equals the pseudo-inverse solution to working precision.  With
+    delta_T = 1e-6 the bracket's upper end lies above that floor, and
+    psi(floor) < 0 finds the root below it; with delta_T = 1e-20 the upper
+    end itself lies below the floor, and no psi is evaluated."""
     rng = np.random.default_rng(5)
     T = rng.uniform(0.05, 1.0, (3, 2))
     off_range = np.linalg.svd(T)[0][:, 2]
     b = T @ np.array([0.3, -0.2]) + 1e-12 * off_range
-    est = e2_regularized(_mom(T, b), 1e-6)
+    est = e2_regularized(_mom(T, b), delta_T)
     theta0 = np.linalg.pinv(T) @ b
     assert est.diagnostics["solution_path"] == "kink-shortcut"
-    assert est.diagnostics["iterations"] > 0
+    assert (est.diagnostics["iterations"] > 0) == evaluates_psi
     np.testing.assert_allclose(est.theta_hat, theta0, atol=1e-15)
     for t in np.geomspace(1e-20, 1.0, 41):
         ridge = np.linalg.solve(T.T @ T + t * np.eye(2), T.T @ b)
-        assert est.diagnostics["objective"] <= _objective(T, b, 1e-6, ridge) + 1e-16
+        assert est.diagnostics["objective"] \
+            <= _objective(T, b, delta_T, ridge) + 1e-16
 
 
 def test_e2_diagnostics_name_the_regime():

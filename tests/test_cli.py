@@ -2,10 +2,14 @@
 
 import csv
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shiftweight
 from shiftweight import experiments
 from shiftweight.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from shiftweight.experiments import CSV_COLUMNS
@@ -55,6 +59,26 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
     assert "wat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, code",
+                         (("", EXIT_OK), ("wat = 1\n", EXIT_CONFIG)),
+                         ids=("tiny_run", "unknown_key"))
+def test_module_entry_exits_with_mains_code(tmp_path, extra, code):
+    """README's stand-in for the installed command, `PYTHONPATH=src python
+    -m shiftweight.cli`, run as a process: the status a shell sees is the
+    code main returns, 0 for a tiny run and 2 for an unknown key."""
+    src = os.path.dirname(os.path.dirname(shiftweight.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "r.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftweight.cli", "run",
+         _write(tmp_path, GOOD + extra), "--out", str(out), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120, check=False)
+    assert proc.returncode == code, proc.stderr
+    assert out.exists() == (code == EXIT_OK)
+    assert ("config error" in proc.stderr) == (code == EXIT_CONFIG)
+
+
 def test_bad_seeds_flag_exits_two(tmp_path, capsys):
     code = main(["run", _write(tmp_path, GOOD), "--seeds", "a,b"])
     assert code == EXIT_CONFIG
@@ -70,14 +94,16 @@ def test_negative_seeds_flag_exits_two(tmp_path, capsys):
     assert "config error" in err and "seeds" in err
 
 
-@pytest.mark.parametrize("line", ("seeds = -1", "noise_std = inf",
+@pytest.mark.parametrize("line", ("seeds = -1", "seeds = 0, 0",
+                                  "noise_std = inf",
                                   "reg = inf", "reg_scale = inf",
                                   "theta_max = inf", "bandwidth = inf",
                                   "reg = nan"))
 def test_out_of_range_config_value_exits_two(tmp_path, capsys, line):
     """Each value used to run: a negative seed exited 1, noise_std = inf
     exited 3, and the other infinities exited 0 with a NaN objective, an
-    infinite epsilon_delta or a constant kernel."""
+    infinite epsilon_delta or a constant kernel.  A seed listed twice ran
+    twice, and the summary row's medians counted it twice."""
     code = main(["run", _write(tmp_path, GOOD + line + "\n"), "--quiet"])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -5,9 +5,9 @@ degenerate covariates, typed failures at the cap and on bad labels, weights
 or starts, the runner's prior-shifted ERM start, the Newton steps each start
 takes, the class-sum-zero subspace the fit stays on, and the preconditioned
 conjugate-gradient directions: exact Hessian products, the binned Hessian on
-that subspace that preconditions them, its rebuild where CG stalls, the typed
-failure where no direction comes, and the builds and products each fit
-makes."""
+that subspace that preconditions them, the fresh one CG swaps in where it
+stalls, the typed failure where no direction comes, and the builds and
+products each fit makes."""
 
 import warnings
 
@@ -132,17 +132,26 @@ def test_fitted_class_columns_sum_to_zero(k):
         assert np.linalg.norm(W.sum(axis=1)) <= 2e-15 * np.linalg.norm(W)
 
 
-def test_far_started_fits_keep_class_columns_summing_to_zero():
-    """From the far starts of test_line_search_halves_from_a_far_start, CG
-    on the last preconditioner gives up at some iterates, which rebuild it
-    (2 and 4 rebuilds).  Each direction is centered, so ||W 1|| / ||W||
-    stays at most 1.5e-15."""
+def _far_starts():
+    """The weighted k = 4 fit of test_line_search_halves_from_a_far_start:
+    the seed-0 source sample (n = 2000), its labels, linspace(0.5, 2, 4)
+    class weights, and its far starts by scale, 3x then 10x draws of one
+    standard-normal stream."""
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 0), 2000, 2000)
     x, y = ds.source_x, ds.source_y
     rng = np.random.default_rng(0)
-    for scale_up in (3.0, 10.0):
-        W = logistic_fit(x, y, 4, np.linspace(0.5, 2.0, 4)[y],
-                         start=scale_up * rng.standard_normal((33, 4)))[2]
+    starts = {s: s * rng.standard_normal((33, 4)) for s in (3.0, 10.0)}
+    return x, y, np.linspace(0.5, 2.0, 4)[y], starts
+
+
+def test_far_started_fits_keep_class_columns_summing_to_zero():
+    """From the far starts of test_line_search_halves_from_a_far_start, CG
+    on the last preconditioner gives up at some iterates, which swap in a
+    fresh one (2 and 4 swaps).  Each direction is centered, so
+    ||W 1|| / ||W|| stays at most 1.5e-15."""
+    x, y, w, starts = _far_starts()
+    for start in starts.values():
+        W = logistic_fit(x, y, 4, w, start=start)[2]
         assert np.linalg.norm(W.sum(axis=1)) <= 1e-14 * np.linalg.norm(W)
 
 
@@ -256,6 +265,21 @@ def _far_outlier_split():
     return x, sp.erm_y, ds.target_x
 
 
+# Seed: (k, samples per class) of the separated class blobs of
+# test_predictors that the fit tests take.
+BLOBS = {0: (3, 40), 1: (2, 60), 10: (4, 30)}
+
+
+def _separated_blobs(seed):
+    """The blobs of BLOBS[seed]: class c near 10 c, with normal noise of
+    standard deviation 0.05; the covariates, labels and k."""
+    k, per_class = BLOBS[seed]
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([c * 10.0 + 0.05 * rng.normal(size=per_class)
+                        for c in range(k)])
+    return x, np.repeat(np.arange(k), per_class), k
+
+
 @pytest.mark.parametrize("covariates, weighting", (
     ("fewer_samples_than_bins", "unit"),
     ("fewer_samples_than_bins", "one_class_zero"),
@@ -269,9 +293,9 @@ def test_degenerate_covariates_match_the_dense_reference(covariates,
     where the features vary: the clipped bins put it in the top bin, and CG
     takes 19 and 20 products a fit.  The separated class blobs
     of test_predictors (seeds 0, 1 and 10 at k = 3, 2 and 4, unit weights):
-    CG on the last preconditioner stalls at 2, 0 and 6 iterates, which
-    rebuild it, and CG on a fresh one runs past CG_MAX_ITER (up to 25, 22
-    and 32 iterations), toward its k p cap."""
+    CG on the last preconditioner gives up at 2, 0 and 6 iterates, which
+    swap in a fresh one and go on from the iterate CG has, and the three
+    fits take 183, 150 and 233 products (SWAP_COSTS)."""
     if covariates == "fewer_samples_than_bins":
         y = np.repeat(np.arange(4), 10 + 5 * np.arange(4))
         x = np.random.default_rng(5).normal(size=len(y)) + 0.3 * y
@@ -281,13 +305,9 @@ def test_degenerate_covariates_match_the_dense_reference(covariates,
         x, y, xq = _far_outlier_split()
         fits = [(x, y, 4, xq)]
     else:
-        fits = []
-        for seed, k, per_class in ((0, 3, 40), (1, 2, 60), (10, 4, 30)):
-            rng = np.random.default_rng(seed)
-            x = np.concatenate([c * 10.0 + 0.05 * rng.normal(size=per_class)
-                                for c in range(k)])
-            fits.append((x, np.repeat(np.arange(k), per_class), k,
-                         np.linspace(-5.0, 10.0 * k - 5.0, 50)))
+        fits = [(*_separated_blobs(seed),
+                 np.linspace(-5.0, 10.0 * k - 5.0, 50))
+                for seed, (k, _) in BLOBS.items()]
     for x, y, k, xq in fits:
         w = {"unit": np.ones(k), "one_class_zero": np.r_[np.ones(k - 1), 0.0]}
         _assert_matches_reference(x, y, k, w[weighting][y], xq)
@@ -498,11 +518,43 @@ def test_fits_assemble_no_hessian_within_the_product_budget(monkeypatch, k,
     assert len(products) <= HESSIAN_PRODUCTS[k, noise_std, n]
 
 
+# (preconditioner builds, Hessian products) of the fits where CG on the last
+# preconditioner gives up at some iterate after the refreshes, which swaps
+# in a fresh one: the unit-weighted separated blobs by seed (BLOBS) and the
+# far starts of test_line_search_halves_from_a_far_start by scale.  When CG
+# on the fresh preconditioner restarted from zero, throwing away the
+# products spent on the last one, these fits took 203, 150, 318, 172 and
+# 174 products with the same builds.
+SWAP_COSTS = {("blobs", 0): (4, 183), ("blobs", 1): (2, 150),
+              ("blobs", 10): (8, 233), ("far_start", 3.0): (4, 171),
+              ("far_start", 10.0): (6, 171)}
+
+
+@pytest.mark.parametrize("fit", list(SWAP_COSTS),
+                         ids=lambda fit: f"{fit[0]}-{fit[1]}")
+def test_a_swapped_preconditioner_keeps_the_cg_iterate(monkeypatch, fit):
+    """A timing-free guard on the cost of the swap: the fit builds its
+    preconditioner as often as its count says, and its Hessian products
+    stay at or below its count."""
+    builds = _counting_calls(monkeypatch, "_binned_hessian")
+    products = _counting_calls(monkeypatch, "_hessian_product")
+    kind, key = fit
+    if kind == "blobs":
+        x, y, k = _separated_blobs(key)
+        logistic_fit(x, y, k)
+    else:
+        x, y, w, starts = _far_starts()
+        logistic_fit(x, y, 4, w, start=starts[key])
+    assert len(builds) == SWAP_COSTS[fit][0]
+    assert len(products) <= SWAP_COSTS[fit][1]
+
+
 def test_a_stalled_cg_rebuilds_the_preconditioner(monkeypatch):
     """With the cap on CG over the last preconditioner at 0, CG stalls at
-    every iterate after the refreshes, and each of them rebuilds the
-    preconditioner: one build per Newton step.  W is bit for bit the W of
-    the fit that rebuilds it at every iterate, and matches the dense
+    every iterate after the refreshes, and each of them swaps in a fresh
+    preconditioner: one build per Newton step.  CG took no iteration on the
+    last one, so it restarts from zero, and W is bit for bit the W of the
+    fit that rebuilds it at every iterate, and matches the dense
     reference."""
     ds = gen_categorical(CategoricalSynthConfig(4, 0.5, 704), 1500, 1500)
     x, y = ds.source_x, ds.source_y
